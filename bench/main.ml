@@ -381,9 +381,10 @@ let opt_leg () =
   let linear_hits =
     List.fold_left
       (fun acc (f : Ir.func) ->
+        let ctx = Alive_opt.Compiled.context tree f in
         List.fold_left
           (fun acc (d : Ir.def) ->
-            match Alive_opt.Compiled.match_linear ~rules f d.Ir.name with
+            match Alive_opt.Compiled.match_linear ~rules ctx d with
             | Some _ -> acc + 1
             | None -> acc)
           acc f.Ir.body)

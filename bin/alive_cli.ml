@@ -559,7 +559,8 @@ let optimize_cmd =
   let module Compiled = Alive_opt.Compiled in
   let module Json = Alive_engine.Json in
   let run functions batch_size seed widths jobs linear selfcheck json_path
-      ledger_path show_stats =
+      ledger_path show_stats trace collapsed =
+    setup_observability ~trace ~collapsed ~metrics:false;
     let jobs = resolve_jobs jobs in
     let rules = Lazy.force corpus_rules in
     let engine = if linear then `Linear else `Compiled in
@@ -583,7 +584,10 @@ let optimize_cmd =
       Alive_engine.Engine.map ~jobs
         ~label:(fun (off, _) -> Printf.sprintf "batch@%d" off)
         (fun (off, bc) ->
-          let funcs = Workload.generate ~offset:off bc rules in
+          let funcs =
+            Alive_trace.Trace.with_span "opt.workload.generate" (fun () ->
+                Workload.generate ~offset:off bc rules)
+          in
           let optimized, stats = Pass.run_module ~rules ~engine funcs in
           let cost fs =
             List.fold_left (fun a f -> a + Cost.func_cost f) 0 fs
@@ -649,10 +653,11 @@ let optimize_cmd =
     in
     let linear_hits, linear_wall =
       time_matches (fun (f : Ir.func) ->
+          let ctx = Compiled.context tree f in
           List.fold_left
             (fun acc (d : Ir.def) ->
-              if Option.is_some (Compiled.match_linear ~rules f d.Ir.name)
-              then acc + 1
+              if Option.is_some (Compiled.match_linear ~rules ctx d) then
+                acc + 1
               else acc)
             0 f.Ir.body)
     in
@@ -671,21 +676,8 @@ let optimize_cmd =
             List.fold_left
               (fun acc (d : Ir.def) ->
                 let c = Compiled.match_def ctx d in
-                let l = Compiled.match_linear ~rules f d.Ir.name in
-                let same =
-                  match (c, l) with
-                  | None, None -> true
-                  | Some (rc, mc), Some (rl, ml) ->
-                      String.equal rc.Alive_opt.Matcher.rule_name
-                        rl.Alive_opt.Matcher.rule_name
-                      && String.equal mc.Alive_opt.Matcher.root
-                           ml.Alive_opt.Matcher.root
-                      && mc.Alive_opt.Matcher.bindings.Alive_opt.Concrete.consts
-                         = ml.Alive_opt.Matcher.bindings.Alive_opt.Concrete.consts
-                      && mc.Alive_opt.Matcher.bindings.Alive_opt.Concrete.values
-                         = ml.Alive_opt.Matcher.bindings.Alive_opt.Concrete.values
-                  | _ -> false
-                in
+                let l = Compiled.match_linear ~rules ctx d in
+                let same = Compiled.same_match c l in
                 if same then acc
                 else begin
                   Printf.eprintf
@@ -759,6 +751,7 @@ let optimize_cmd =
         Alive_trace.Ledger.append ~path record;
         Printf.printf "ledger record appended to %s\n" path)
       ledger_path;
+    emit_observability ~trace ~collapsed ~metrics:false;
     if divergences > 0 || failed <> [] then 1 else 0
   in
   let functions =
@@ -828,7 +821,8 @@ let optimize_cmd =
          :: Cmd.Exit.defaults))
     Term.(
       const run $ functions $ batch_size $ seed $ widths_arg $ jobs_arg
-      $ linear $ selfcheck $ json_path $ ledger_path $ stats)
+      $ linear $ selfcheck $ json_path $ ledger_path $ stats $ trace_arg
+      $ collapsed_arg)
 
 let lint_cmd =
   let module D = Alive.Diagnostics in

@@ -676,19 +676,8 @@ let run_opt_parity (entries : Alive_suite.Entry.t list) =
       (fun bad (d : Ir.def) ->
         incr sites;
         let c = Compiled.match_def ctx d in
-        let l = Compiled.match_linear ~rules f d.Ir.name in
-        let same =
-          match (c, l) with
-          | None, None -> true
-          | Some (rc, mc), Some (rl, ml) ->
-              String.equal rc.Matcher.rule_name rl.Matcher.rule_name
-              && String.equal mc.Matcher.root ml.Matcher.root
-              && mc.Matcher.bindings.Alive_opt.Concrete.consts
-                 = ml.Matcher.bindings.Alive_opt.Concrete.consts
-              && mc.Matcher.bindings.Alive_opt.Concrete.values
-                 = ml.Matcher.bindings.Alive_opt.Concrete.values
-          | _ -> false
-        in
+        let l = Compiled.match_linear ~rules ctx d in
+        let same = Compiled.same_match c l in
         if same then bad
         else begin
           Printf.printf "DIVERGE %s/%s: compiled=%s linear=%s\n" f.Ir.fname
@@ -710,40 +699,6 @@ let run_opt_parity (entries : Alive_suite.Entry.t list) =
      whichever matcher backs it — modulo the names [Matcher.rewrite] mints
      from its global fresh counter, so compare alpha-normalized bodies
      (every def renamed to its body position). *)
-  let normalize (f : Ir.func) =
-    let renamed = Hashtbl.create 64 in
-    List.iteri
-      (fun i (d : Ir.def) ->
-        Hashtbl.replace renamed d.Ir.name (Printf.sprintf "d%d" i))
-      f.Ir.body;
-    let value = function
-      | Ir.Var n as v -> (
-          match Hashtbl.find_opt renamed n with
-          | Some n' -> Ir.Var n'
-          | None -> v (* parameter *))
-      | (Ir.Const _ | Ir.Undef _) as v -> v
-    in
-    let inst = function
-      | Ir.Binop (op, attrs, a, b) -> Ir.Binop (op, attrs, value a, value b)
-      | Ir.Icmp (c, a, b) -> Ir.Icmp (c, value a, value b)
-      | Ir.Select (c, a, b) -> Ir.Select (value c, value a, value b)
-      | Ir.Conv (c, a) -> Ir.Conv (c, value a)
-      | Ir.Freeze a -> Ir.Freeze (value a)
-    in
-    {
-      f with
-      Ir.body =
-        List.map
-          (fun (d : Ir.def) ->
-            {
-              d with
-              Ir.name = Hashtbl.find renamed d.Ir.name;
-              Ir.inst = inst d.Ir.inst;
-            })
-          f.Ir.body;
-      Ir.ret = value f.Ir.ret;
-    }
-  in
   let pass_pool =
     List.filteri (fun i _ -> i < 200) (corpus_pool @ random_pool)
   in
@@ -753,7 +708,7 @@ let run_opt_parity (entries : Alive_suite.Entry.t list) =
         let c = Pass.run_guarded ~rules ~engine:`Compiled f in
         let l = Pass.run_guarded ~rules ~engine:`Linear f in
         if
-          normalize c.Pass.func = normalize l.Pass.func
+          Ir.normalize_names c.Pass.func = Ir.normalize_names l.Pass.func
           && c.Pass.stats = l.Pass.stats
         then bad
         else begin

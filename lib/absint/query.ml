@@ -1,9 +1,9 @@
 (* The concrete-IR facade over the reduced product: one forward pass
-   assigns every value of a straight-line function a [Domain.t], and the
-   predicate helpers answer the questions the optimizer's precondition
-   evaluator ([Opt.Concrete]) and the linter ask — strictly at least as
-   precisely as the known-bits-only [Ir.Analysis], since known bits are
-   one component of the product. *)
+   assigns every value of a straight-line function a [Domain.t] through
+   the per-definition [transfer], which the optimizer's function state
+   ([Opt.State]) also uses to keep its domains current across rewrites —
+   strictly at least as precise as the known-bits-only [Ir.Analysis],
+   since known bits are one component of the product. *)
 
 type env = { func : Ir.func; vals : (string, Domain.t) Hashtbl.t }
 
@@ -20,41 +20,23 @@ let tri_cond (c : Ir.cond) (a : Domain.t) (b : Domain.t) : Domain.tribool =
   | Ir.Sgt -> Domain.tri_slt b a
   | Ir.Sge -> Domain.tri_not (Domain.tri_slt a b)
 
-let analyze (f : Ir.func) : env =
-  let vals : (string, Domain.t) Hashtbl.t = Hashtbl.create 16 in
-  let value (v : Ir.value) =
-    match v with
-    | Ir.Const c -> Domain.singleton c
-    | Ir.Undef w -> Domain.top w
-    | Ir.Var n -> (
-        match Hashtbl.find_opt vals n with
-        | Some d -> d
-        | None -> Domain.top (Ir.value_width f v))
-  in
-  List.iter
-    (fun (d : Ir.def) ->
-      let w = d.Ir.width in
-      let dom =
-        match d.Ir.inst with
-        | Ir.Binop (op, _, a, b) -> Domain.binop op w (value a) (value b)
-        | Ir.Icmp (c, a, b) -> (
-            match tri_cond c (value a) (value b) with
-            | Domain.True -> Domain.singleton (Bitvec.one 1)
-            | Domain.False -> Domain.singleton (Bitvec.zero 1)
-            | Domain.Unknown -> Domain.top 1)
-        | Ir.Select (c, a, b) -> (
-            match Domain.is_singleton (value c) with
-            | Some cv ->
-                if Bitvec.is_true cv then value a else value b
-            | None -> Domain.join (value a) (value b))
-        | Ir.Conv (Ir.Zext, v) -> Domain.zext (value v) w
-        | Ir.Conv (Ir.Sext, v) -> Domain.sext (value v) w
-        | Ir.Conv (Ir.Trunc, v) -> Domain.trunc (value v) w
-        | Ir.Freeze v -> value v
-      in
-      Hashtbl.replace vals d.Ir.name dom)
-    f.Ir.body;
-  { func = f; vals }
+let transfer (value : Ir.value -> Domain.t) (d : Ir.def) =
+  let w = d.Ir.width in
+  match d.Ir.inst with
+  | Ir.Binop (op, _, a, b) -> Domain.binop op w (value a) (value b)
+  | Ir.Icmp (c, a, b) -> (
+      match tri_cond c (value a) (value b) with
+      | Domain.True -> Domain.singleton (Bitvec.one 1)
+      | Domain.False -> Domain.singleton (Bitvec.zero 1)
+      | Domain.Unknown -> Domain.top 1)
+  | Ir.Select (c, a, b) -> (
+      match Domain.is_singleton (value c) with
+      | Some cv -> if Bitvec.is_true cv then value a else value b
+      | None -> Domain.join (value a) (value b))
+  | Ir.Conv (Ir.Zext, v) -> Domain.zext (value v) w
+  | Ir.Conv (Ir.Sext, v) -> Domain.sext (value v) w
+  | Ir.Conv (Ir.Trunc, v) -> Domain.trunc (value v) w
+  | Ir.Freeze v -> value v
 
 let value_domain (env : env) (v : Ir.value) : Domain.t =
   match v with
@@ -65,23 +47,10 @@ let value_domain (env : env) (v : Ir.value) : Domain.t =
       | Some d -> d
       | None -> Domain.top (Ir.value_width env.func v))
 
-(* ---- Predicates (tribool versions for the linter, bool for Opt) ---- *)
-
-let masked_value_is_zero env v mask =
-  let d = value_domain env v in
-  Bitvec.is_zero
-    (Bitvec.logand mask (Bitvec.lognot d.Domain.kb.Analysis.zeros))
-
-let is_known_power_of_two env v =
-  Domain.tri_is_power_of_two (value_domain env v) = Domain.True
-
-let is_known_non_negative env v =
-  let d = value_domain env v in
-  Bitvec.sle (Bitvec.zero d.Domain.width) d.Domain.smin
-
-let will_not_overflow env op ~signed a b =
-  Domain.tri_will_not_overflow op ~signed (value_domain env a)
-    (value_domain env b)
-  = Domain.True
-
-let tri_icmp env c a b = tri_cond c (value_domain env a) (value_domain env b)
+let analyze (f : Ir.func) : env =
+  let env = { func = f; vals = Hashtbl.create 16 } in
+  List.iter
+    (fun (d : Ir.def) ->
+      Hashtbl.replace env.vals d.Ir.name (transfer (value_domain env) d))
+    f.Ir.body;
+  env

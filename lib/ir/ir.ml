@@ -127,6 +127,13 @@ let operands_of = function
   | Select (c, a, b) -> [ c; a; b ]
   | Conv (_, a) | Freeze a -> [ a ]
 
+let map_operands g = function
+  | Binop (op, attrs, a, b) -> Binop (op, attrs, g a, g b)
+  | Icmp (c, a, b) -> Icmp (c, g a, g b)
+  | Select (c, a, b) -> Select (g c, g a, g b)
+  | Conv (c, a) -> Conv (c, g a)
+  | Freeze a -> Freeze (g a)
+
 let validate f =
   let defined = Hashtbl.create 16 in
   List.iter (fun (n, w) -> Hashtbl.replace defined n w) f.params;
@@ -178,10 +185,32 @@ let validate f =
     Ok ()
   with Bad msg -> Error msg
 
-let map_body g f = { f with body = g f.body }
+let normalize_names f =
+  let renamed = Hashtbl.create 64 in
+  List.iteri
+    (fun i d -> Hashtbl.replace renamed d.name (Printf.sprintf "d%d" i))
+    f.body;
+  let value = function
+    | Var n as v -> (
+        match Hashtbl.find_opt renamed n with Some n' -> Var n' | None -> v)
+    | (Const _ | Undef _) as v -> v
+  in
+  {
+    f with
+    body =
+      List.map
+        (fun d ->
+          {
+            d with
+            name = Hashtbl.find renamed d.name;
+            inst = map_operands value d.inst;
+          })
+        f.body;
+    ret = value f.ret;
+  }
 
 let uses_of f =
-  let counts = Hashtbl.create 16 in
+  let counts = Hashtbl.create (16 + List.length f.body) in
   let count = function
     | Var n ->
         Hashtbl.replace counts n (1 + Option.value ~default:0 (Hashtbl.find_opt counts n))

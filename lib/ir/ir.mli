@@ -65,11 +65,18 @@ val value_width : func -> value -> int
 
 val def_of : func -> string -> def option
 
+val operands_of : inst -> value list
+(** Operands in order, one entry per occurrence. *)
+
+val map_operands : (value -> value) -> inst -> inst
+
 val validate : func -> (unit, string) result
 (** SSA well-formedness: parameters and defs named once, uses after defs,
     operand widths consistent, [ret] well formed. *)
 
-val map_body : (def list -> def list) -> func -> func
+val normalize_names : func -> func
+(** Every definition renamed to its body position ([%d0], [%d1], …), so
+    functions equal up to the names a rewriter minted compare equal. *)
 
 val uses_of : func -> (string, int) Hashtbl.t
 (** Use counts per variable name (the basis of [hasOneUse]). *)

@@ -1,6 +1,6 @@
 (* The compiled matcher: the verified ruleset fused into one discrimination
    tree over opcodes and operand shapes, so matching a candidate definition
-   is a single trie walk plus a handful of exact [Matcher.match_at] checks
+   is a single trie walk plus a handful of exact [Matcher.match_in] checks
    instead of an O(rules) scan. This is the native twin of what the
    generated C++ pass of §4 is after the C++ compiler is done with it: a
    decision tree on the root opcode and the shapes below it.
@@ -8,8 +8,8 @@
    Soundness contract: the trie is a pure pre-filter. It may return
    candidates that do not match (attributes, repeated variables, constant
    values and preconditions are not encoded), but it must never miss a
-   rule that [Matcher.match_at] would accept. Final acceptance always
-   re-runs [Matcher.match_at] in registry order, so the compiled path
+   rule that [Matcher.match_in] would accept. Final acceptance always
+   re-runs [Matcher.match_in] in registry order, so the compiled path
    picks the same rule with the same bindings as the per-rule scan — by
    construction, not by luck. *)
 
@@ -30,7 +30,7 @@ type kind =
 
 type ptoken =
   | PInst of kind  (* a source-template temporary with this opcode *)
-  | PConst  (* any IR constant; the value is checked by [match_at] *)
+  | PConst  (* any IR constant; the value is checked by [match_in] *)
   | PUndef
   | PAny  (* free template variable: matches any operand *)
 
@@ -77,7 +77,7 @@ let def_insts stmts =
     stmts
 
 (* Pre-order tokens of a rule's source template, unfolding the DAG from
-   the root (exactly the traversal [Matcher.match_at] performs), plus the
+   the root (exactly the traversal [Matcher.match_in] performs), plus the
    deepest operand level reached (root = level 0). *)
 let flatten_pattern (rule : Matcher.rule) =
   let defs = def_insts rule.Matcher.transform.src in
@@ -230,17 +230,12 @@ let cyclic_count t = Hashtbl.length t.cyclic
 
 type ctx = {
   tree : t;
-  func : Ir.func;
-  defs : (string, Ir.def) Hashtbl.t;
+  st : State.t;
   buf : stoken array ref;  (* scratch, grown on demand *)
 }
 
-let context tree (func : Ir.func) =
-  let defs = Hashtbl.create (List.length func.Ir.body * 2) in
-  List.iter (fun (d : Ir.def) -> Hashtbl.replace defs d.Ir.name d) func.Ir.body;
-  { tree; func; defs; buf = ref (Array.make 64 SLeaf) }
-
-let find_def ctx name = Hashtbl.find_opt ctx.defs name
+let context_of_state tree st = { tree; st; buf = ref (Array.make 64 SLeaf) }
+let context tree func = context_of_state tree (State.of_func func)
 
 let ir_kind (i : Ir.inst) =
   match i with
@@ -249,12 +244,6 @@ let ir_kind (i : Ir.inst) =
   | Ir.Select _ -> Some KSelect
   | Ir.Conv (c, _) -> Some (KConv c)
   | Ir.Freeze _ -> None
-
-let ir_operands (i : Ir.inst) =
-  match i with
-  | Ir.Binop (_, _, a, b) | Ir.Icmp (_, a, b) -> [ a; b ]
-  | Ir.Select (c, a, b) -> [ c; a; b ]
-  | Ir.Conv (_, a) | Ir.Freeze a -> [ a ]
 
 (* Flatten the subject DAG below [root] into ctx.buf, truncating operand
    recursion at the compiled max pattern level: tokens deeper than any
@@ -283,7 +272,7 @@ let flatten_subject ctx (root : Ir.def) =
     | None -> emit SLeaf
     | Some k ->
         emit (SInst k);
-        List.iter (operand (level + 1)) (ir_operands d.Ir.inst)
+        List.iter (operand (level + 1)) (Ir.operands_of d.Ir.inst)
   and operand level (v : Ir.value) =
     match v with
     | Ir.Const _ -> emit SConst
@@ -291,7 +280,7 @@ let flatten_subject ctx (root : Ir.def) =
     | Ir.Var n -> (
         if level > ctx.tree.max_depth then emit SLeaf
         else
-          match Hashtbl.find_opt ctx.defs n with
+          match State.find ctx.st n with
           | Some d -> def d level
           | None -> emit SLeaf)
   in
@@ -347,19 +336,30 @@ let match_def ctx (root : Ir.def) =
     | [] -> None
     | i :: rest -> (
         let rule = ctx.tree.rules.(i) in
-        match Matcher.match_at rule ctx.func root.Ir.name with
+        match Matcher.match_in rule ctx.st root.Ir.name with
         | Some m -> Some (rule, m)
         | None -> first rest)
   in
   first (candidate_indices ctx root)
 
 (* The uncompiled baseline the trie replaces: first rule in registry
-   order whose [match_at] accepts — kept for differential tests and the
+   order whose [match_in] accepts — kept for differential tests and the
    throughput benchmark. *)
-let match_linear ~rules (func : Ir.func) root_name =
+let match_linear ~rules ctx (root : Ir.def) =
   List.find_map
     (fun rule ->
-      match Matcher.match_at rule func root_name with
+      match Matcher.match_in rule ctx.st root.Ir.name with
       | Some m -> Some (rule, m)
       | None -> None)
     rules
+
+let same_match a b =
+  match (a, b) with
+  | None, None -> true
+  | Some ((ra : Matcher.rule), (ma : Matcher.match_result)), Some (rb, mb) ->
+      let a = ma.Matcher.bindings and b = mb.Matcher.bindings in
+      String.equal ra.Matcher.rule_name rb.Matcher.rule_name
+      && String.equal ma.Matcher.root mb.Matcher.root
+      && a.Concrete.consts = b.Concrete.consts
+      && a.Concrete.values = b.Concrete.values
+  | _ -> false

@@ -6,8 +6,8 @@
     The trie is a sound pre-filter: it may return candidates that do not
     match (attributes, repeated variables, constant values and
     preconditions are not encoded) but never misses a rule that
-    {!Matcher.match_at} would accept. {!match_def} re-verifies candidates
-    with [match_at] in registry order, so the compiled path returns the
+    {!Matcher.match_in} would accept. {!match_def} re-verifies candidates
+    with [match_in] in registry order, so the compiled path returns the
     same rule and the same bindings as the per-rule scan. *)
 
 type t
@@ -33,23 +33,31 @@ val cyclic_count : t -> int
 (** {1 Matching} *)
 
 type ctx
-(** Per-function matching state: a name → definition index plus a token
-    scratch buffer. Rebuild after the function changes. *)
+(** Per-function matching context: the function state plus a token
+    scratch buffer. It sees every later edit of the state. *)
 
+val context_of_state : t -> State.t -> ctx
 val context : t -> Ir.func -> ctx
-val find_def : ctx -> string -> Ir.def option
+(** {!context_of_state} on a fresh {!State.of_func}. *)
 
 val candidates : ctx -> Ir.def -> Matcher.rule list
 (** Rules whose source shape can match at the definition, in registry
-    order — the trie walk without the final [match_at] verification. *)
+    order — the trie walk without the final [match_in] verification. *)
 
 val match_def : ctx -> Ir.def -> (Matcher.rule * Matcher.match_result) option
-(** First candidate (registry order) accepted by {!Matcher.match_at}. *)
+(** First candidate (registry order) accepted by {!Matcher.match_in}. *)
 
 val match_linear :
   rules:Matcher.rule list ->
-  Ir.func ->
-  string ->
+  ctx ->
+  Ir.def ->
   (Matcher.rule * Matcher.match_result) option
 (** The uncompiled per-rule scan the trie replaces; kept as the
     differential-test oracle and the throughput baseline. *)
+
+val same_match :
+  (Matcher.rule * Matcher.match_result) option ->
+  (Matcher.rule * Matcher.match_result) option ->
+  bool
+(** Same rule, same root and same bindings: the compiled/linear parity
+    check. *)

@@ -1,7 +1,7 @@
 open Alive.Ast
 
 type env = {
-  func : Ir.func;
+  st : State.t Lazy.t;
   consts : (string * Bitvec.t) list;
   values : (string * Ir.value) list;
 }
@@ -83,7 +83,7 @@ and cexpr_width env e =
       Some (Bitvec.width c)
   | Cval name ->
       let* v = List.assoc_opt name env.values in
-      Some (Ir.value_width env.func v)
+      Some (State.value_width (Lazy.force env.st) v)
   | Cun (_, a) | Cfun (_, [ a ]) -> cexpr_width env a
   | Cbin (_, a, b) | Cfun (_, [ a; b ]) -> (
       match cexpr_width env a with
@@ -104,29 +104,13 @@ let arg_value env e =
           | Some c -> Some (Ir.Const c)
           | None -> None))
 
-(* One [Query.analyze] forward pass per function, memoized by physical
-   identity: the matcher evaluates many predicates against the same
-   (immutable) function while scanning its rules. The product is strictly
-   at least as precise as the known-bits [Analysis] calls it replaces.
-   Domain-local so Engine.map workers never share the cell. *)
-let query_cache :
-    (Ir.func * Alive_absint.Query.env) option ref Stdlib.Domain.DLS.key =
-  Stdlib.Domain.DLS.new_key (fun () -> ref None)
-
-let query_env f =
-  let cache = Stdlib.Domain.DLS.get query_cache in
-  match !cache with
-  | Some (g, q) when g == f -> q
-  | _ ->
-      let q = Alive_absint.Query.analyze f in
-      cache := Some (f, q);
-      q
-
 module Dom = Alive_absint.Domain
+
+let domain env v = State.domain (Lazy.force env.st) v
 
 (* Abstract evaluation of a constant expression whose leaves may be
    symbolic: bound constants stay singletons, bound values fall back to
-   the forward analysis's known-bits × range domain. This is what lets a
+   the function state's known-bits × range domain. This is what lets a
    precondition like `isPowerOf2(%x)` or `C & %m == 0` hold at an
    application site where %x is an instruction, not a literal. *)
 let rec adomain env ~width e =
@@ -139,7 +123,7 @@ let rec adomain env ~width e =
       Some (Dom.singleton c)
   | Cval name ->
       let* v = List.assoc_opt name env.values in
-      Some (Alive_absint.Query.value_domain (query_env env.func) v)
+      Some (domain env v)
   | Cun (Cneg, a) ->
       let* a = adomain env ~width a in
       Some (Dom.neg a)
@@ -221,22 +205,24 @@ let rec tri_pred env p =
                   | Psge -> Dom.tri_not (Dom.tri_slt da db))
               | _ -> Dom.Unknown)))
   | Pcall (name, args) -> (
-      let f = env.func in
-      let q = query_env f in
-      let module Q = Alive_absint.Query in
       (* Must-analysis calls: an affirmative answer is a proof, a negative
          one usually just means "not provable here" — except where the
          query is decidable (concrete constants, use counts), which may
          answer [False] outright. *)
       let proof b = if b then Dom.True else Dom.Unknown in
+      let no_overflow op ~signed a b =
+        proof
+          (Dom.tri_will_not_overflow op ~signed (domain env a) (domain env b)
+          = Dom.True)
+      in
       match (name, List.map (arg_value env) args) with
       | "isPowerOf2", [ Some v ] ->
-          Dom.tri_is_power_of_two ~or_zero:false (Q.value_domain q v)
+          Dom.tri_is_power_of_two ~or_zero:false (domain env v)
       | "isPowerOf2OrZero", [ Some v ] ->
-          Dom.tri_is_power_of_two ~or_zero:true (Q.value_domain q v)
+          Dom.tri_is_power_of_two ~or_zero:true (domain env v)
       | "isSignBit", [ Some v ] ->
-          let w = Ir.value_width f v in
-          Dom.tri_eq (Q.value_domain q v) (Dom.singleton (Bitvec.min_signed w))
+          let w = State.value_width (Lazy.force env.st) v in
+          Dom.tri_eq (domain env v) (Dom.singleton (Bitvec.min_signed w))
       | "isShiftedMask", [ Some (Ir.Const c) ] ->
           let w = Bitvec.width c in
           let filled = Bitvec.logor c (Bitvec.sub c (Bitvec.one w)) in
@@ -246,28 +232,30 @@ let rec tri_pred env p =
             && Bitvec.is_zero
                  (Bitvec.logand succ (Bitvec.sub succ (Bitvec.one w))))
       | "MaskedValueIsZero", [ Some v; Some (Ir.Const mask) ] ->
-          proof (Q.masked_value_is_zero q v mask)
+          let d = domain env v in
+          proof
+            (Bitvec.is_zero
+               (Bitvec.logand mask (Bitvec.lognot d.Dom.kb.Analysis.zeros)))
       | ("hasOneUse" | "OneUse"), [ Some (Ir.Var n) ] ->
-          Dom.tri_of_bool
-            (Option.value ~default:0 (Hashtbl.find_opt (Ir.uses_of f) n) = 1)
+          Dom.tri_of_bool (State.uses (Lazy.force env.st) n = 1)
       | ("hasOneUse" | "OneUse"), [ Some _ ] -> Dom.True
       | "WillNotOverflowSignedAdd", [ Some a; Some b ] ->
-          proof (Q.will_not_overflow q `Add ~signed:true a b)
+          no_overflow `Add ~signed:true a b
       | "WillNotOverflowUnsignedAdd", [ Some a; Some b ] ->
-          proof (Q.will_not_overflow q `Add ~signed:false a b)
+          no_overflow `Add ~signed:false a b
       | "WillNotOverflowSignedSub", [ Some a; Some b ] ->
-          proof (Q.will_not_overflow q `Sub ~signed:true a b)
+          no_overflow `Sub ~signed:true a b
       | "WillNotOverflowUnsignedSub", [ Some a; Some b ] ->
-          proof (Q.will_not_overflow q `Sub ~signed:false a b)
+          no_overflow `Sub ~signed:false a b
       | "WillNotOverflowSignedMul", [ Some (Ir.Const a); Some (Ir.Const b) ] ->
           Dom.tri_of_bool (not (Bitvec.mul_overflows_signed a b))
       | "WillNotOverflowSignedMul", [ Some a; Some b ] ->
-          proof (Q.will_not_overflow q `Mul ~signed:true a b)
+          no_overflow `Mul ~signed:true a b
       | "WillNotOverflowUnsignedMul", [ Some (Ir.Const a); Some (Ir.Const b) ]
         ->
           Dom.tri_of_bool (not (Bitvec.mul_overflows_unsigned a b))
       | "WillNotOverflowUnsignedMul", [ Some a; Some b ] ->
-          proof (Q.will_not_overflow q `Mul ~signed:false a b)
+          no_overflow `Mul ~signed:false a b
       | _ -> Dom.Unknown)
 
 let pred env p = tri_pred env p = Dom.True

@@ -4,7 +4,9 @@
     value predicates become calls into the trusted dataflow analyses. *)
 
 type env = {
-  func : Ir.func;
+  st : State.t Lazy.t;
+      (** the matched function; forced only when a precondition needs a
+          width, a use count or a domain *)
   consts : (string * Bitvec.t) list;  (** abstract constant bindings *)
   values : (string * Ir.value) list;  (** template value bindings *)
 }
@@ -19,8 +21,8 @@ val cexpr_width : env -> Alive.Ast.cexpr -> int option
 val adomain :
   env -> width:int -> Alive.Ast.cexpr -> Alive_absint.Domain.t option
 (** Abstract evaluation: bound constants are singletons, bound values fall
-    back to the known-bits × range forward analysis of the matched
-    function. [None] when a leaf is unbound or a function is unsupported. *)
+    back to the known-bits × range domains of the function state. [None]
+    when a leaf is unbound or a function is unsupported. *)
 
 val tri_pred : env -> Alive.Ast.pred -> Alive_absint.Domain.tribool
 (** Tri-valued precondition evaluation: [True]/[False] are proofs,

@@ -237,7 +237,7 @@ let target_feeds a b =
 (* --- Matching --- *)
 
 type mstate = {
-  func : Ir.func;
+  st : State.t;
   src_defs : (string * Alive.Ast.inst) list;
   mutable consts : (string * Bitvec.t) list;
   mutable values : (string * Ir.value) list;
@@ -276,7 +276,7 @@ let rec match_operand st (top : toperand) (v : Ir.value) ~width =
          matches the corresponding template definition. *)
       match v with
       | Ir.Var ir_name -> (
-          match Ir.def_of st.func ir_name with
+          match State.find st.st ir_name with
           | Some d -> match_def st name d && bind_value st name v
           | None -> false)
       | Ir.Const _ | Ir.Undef _ -> false)
@@ -294,7 +294,11 @@ let rec match_operand st (top : toperand) (v : Ir.value) ~width =
               (* A compound expression: evaluable only if its leaves are
                  already bound. *)
               let env =
-                { Concrete.func = st.func; consts = st.consts; values = st.values }
+                {
+                  Concrete.st = Lazy.from_val st.st;
+                  consts = st.consts;
+                  values = st.values;
+                }
               in
               match Concrete.cexpr env ~width e with
               | Some c' -> Bitvec.equal c c'
@@ -319,7 +323,7 @@ and match_def st template_name (d : Ir.def) =
           | Icmp (c, a, b), Ir.Icmp (c', x, y) ->
               ir_cond c = c'
               &&
-              let w = Ir.value_width st.func x in
+              let w = State.value_width st.st x in
               match_operand st a x ~width:w && match_operand st b y ~width:w
           | Select (c, a, b), Ir.Select (cx, x, y) ->
               match_operand st c cx ~width:1
@@ -328,7 +332,7 @@ and match_def st template_name (d : Ir.def) =
           | Conv (Zext, a, _), Ir.Conv (Ir.Zext, x)
           | Conv (Sext, a, _), Ir.Conv (Ir.Sext, x)
           | Conv (Trunc, a, _), Ir.Conv (Ir.Trunc, x) ->
-              match_operand st a x ~width:(Ir.value_width st.func x)
+              match_operand st a x ~width:(State.value_width st.st x)
           | _ -> false))
 
 let src_def_insts stmts =
@@ -336,13 +340,13 @@ let src_def_insts stmts =
     (function Def (n, _, i) -> Some (n, i) | Store _ | Unreachable -> None)
     stmts
 
-let match_at rule func root_name =
-  match Ir.def_of func root_name with
+let match_in rule st root_name =
+  match State.find st root_name with
   | None -> None
   | Some root_def ->
-      let st =
+      let ms =
         {
-          func;
+          st;
           src_defs = src_def_insts rule.transform.src;
           consts = [];
           values = [];
@@ -353,16 +357,26 @@ let match_at rule func root_name =
         | Some r -> r
         | None -> assert false (* rejected by rule_of_transform *)
       in
-      if match_def st root_template root_def then begin
-        ignore (bind_value st root_template (Ir.Var root_def.name));
+      if match_def ms root_template root_def then begin
+        ignore (bind_value ms root_template (Ir.Var root_def.name));
         let env =
-          { Concrete.func = func; consts = st.consts; values = st.values }
+          {
+            Concrete.st = Lazy.from_val st;
+            consts = ms.consts;
+            values = ms.values;
+          }
         in
-        if Concrete.pred env rule.transform.pre then
-          Some { bindings = env; root = root_name }
+        let pre = rule.transform.pre in
+        if
+          pre = Ptrue
+          || Alive_trace.Trace.with_span "opt.pass.precondition" (fun () ->
+                 Concrete.pred env pre)
+        then Some { bindings = env; root = root_name }
         else None
       end
       else None
+
+let match_at rule func root_name = match_in rule (State.of_func func) root_name
 
 (* --- Rewriting --- *)
 
@@ -372,32 +386,11 @@ let fresh_name () =
   incr counter;
   Printf.sprintf "alive.%d" !counter
 
-(* Substitute [Var old] by [v] in every subsequent instruction and the
-   return value (used when the target root is a plain copy). *)
-let substitute_value func old v =
-  let sub = function Ir.Var n when String.equal n old -> v | x -> x in
-  let sub_inst = function
-    | Ir.Binop (op, attrs, a, b) -> Ir.Binop (op, attrs, sub a, sub b)
-    | Ir.Icmp (c, a, b) -> Ir.Icmp (c, sub a, sub b)
-    | Ir.Select (c, a, b) -> Ir.Select (sub c, sub a, sub b)
-    | Ir.Conv (c, a) -> Ir.Conv (c, sub a)
-    | Ir.Freeze a -> Ir.Freeze (sub a)
-  in
-  {
-    func with
-    Ir.body =
-      List.filter_map
-        (fun (d : Ir.def) ->
-          if String.equal d.name old then None
-          else Some { d with Ir.inst = sub_inst d.inst })
-        func.Ir.body;
-    Ir.ret = sub func.Ir.ret;
-  }
-
-let rewrite rule func (m : match_result) =
+let instantiate rule (m : match_result) =
   let ( let* ) = Option.bind in
+  let st = Lazy.force m.bindings.Concrete.st in
   let root_def =
-    match Ir.def_of func m.root with Some d -> d | None -> assert false
+    match State.find st m.root with Some d -> d | None -> assert false
   in
   let tgt_root =
     match Alive.Ast.root_of rule.transform.tgt with
@@ -408,7 +401,7 @@ let rewrite rule func (m : match_result) =
      temporaries as they are created. *)
   let env = ref m.bindings in
   (* Widths of the definitions this rewrite creates, which are not yet part
-     of [func]. *)
+     of the function. *)
   let new_widths = ref [] in
   let value_of name = List.assoc_opt name !env.Concrete.values in
   let width_of_ir_value v =
@@ -416,8 +409,8 @@ let rewrite rule func (m : match_result) =
     | Ir.Var n -> (
         match List.assoc_opt n !new_widths with
         | Some w -> Some w
-        | None -> ( try Some (Ir.value_width func v) with Not_found -> None))
-    | Ir.Const _ | Ir.Undef _ -> Some (Ir.value_width func v)
+        | None -> ( try Some (State.value_width st v) with Not_found -> None))
+    | Ir.Const _ | Ir.Undef _ -> Some (State.value_width st v)
   in
   let operand_value (top : toperand) ~width =
     match top.op with
@@ -516,28 +509,50 @@ let rewrite rule func (m : match_result) =
     | (Store _ | Unreachable) :: _ -> None
   in
   let* new_defs = emit [] rule.transform.tgt in
-  (* Splice: new defs go right before the root; the root def is replaced if
-     the target root is an instruction, or dropped with its uses substituted
-     if the target root is a copy. *)
-  let root_replacement =
-    List.find_opt (fun (d : Ir.def) -> String.equal d.Ir.name m.root) new_defs
+  (* New defs go right before the root; the root is redefined if the target
+     root is an instruction, or removed with its uses replaced if the
+     target root is a copy. *)
+  let inserted =
+    List.filter
+      (fun (d : Ir.def) -> not (String.equal d.Ir.name m.root))
+      new_defs
   in
-  let prefix_defs =
-    List.filter (fun (d : Ir.def) -> not (String.equal d.Ir.name m.root)) new_defs
+  let* action =
+    match
+      List.find_opt (fun (d : Ir.def) -> String.equal d.Ir.name m.root) new_defs
+    with
+    | Some r -> Some (State.Redefine r.Ir.inst)
+    | None ->
+        let* v = value_of tgt_root in
+        Some (State.Replace_uses v)
   in
-  let rec splice = function
-    | [] -> []
-    | (d : Ir.def) :: rest when String.equal d.Ir.name m.root -> (
-        match root_replacement with
-        | Some r -> prefix_defs @ [ r ] @ rest
-        | None -> prefix_defs @ (d :: rest))
-    | d :: rest -> d :: splice rest
-  in
-  let func = { func with Ir.body = splice func.Ir.body } in
-  match root_replacement with
-  | Some _ -> Some func
-  | None -> (
-      (* Copy root: substitute its value through the rest of the function. *)
-      match value_of tgt_root with
-      | Some v -> Some (substitute_value func m.root v)
-      | None -> None)
+  Some { State.root = m.root; inserted; action }
+
+(* The edit spliced into a plain function, independently of
+   [State.splice]: the reference pass in the tests rewrites through this. *)
+let rewrite rule func (m : match_result) =
+  match instantiate rule m with
+  | None -> None
+  | Some e ->
+      let subst =
+        match e.State.action with
+        | State.Replace_uses v ->
+            fun o -> if o = Ir.Var e.State.root then v else o
+        | State.Redefine _ -> Fun.id
+      in
+      let def (d : Ir.def) =
+        { d with Ir.inst = Ir.map_operands subst d.Ir.inst }
+      in
+      let body =
+        List.concat_map
+          (fun (d : Ir.def) ->
+            if not (String.equal d.Ir.name e.State.root) then [ def d ]
+            else
+              List.map def e.State.inserted
+              @
+              match e.State.action with
+              | State.Redefine inst -> [ { d with Ir.inst } ]
+              | State.Replace_uses _ -> [])
+          func.Ir.body
+      in
+      Some { func with Ir.body; ret = subst func.Ir.ret }

@@ -19,9 +19,13 @@ type match_result = {
   root : string;  (** the matched root definition's name *)
 }
 
-val match_at : rule -> Ir.func -> string -> match_result option
+val match_in : rule -> State.t -> string -> match_result option
 (** Try to match the rule's source template rooted at the named definition,
-    checking the precondition concretely. *)
+    checking the precondition concretely. Definitions, widths, use counts
+    and domains come from the state. *)
+
+val match_at : rule -> Ir.func -> string -> match_result option
+(** {!match_in} on a state built for the call. *)
 
 (** {1 Template-level unification (lint support)}
 
@@ -40,11 +44,16 @@ val target_feeds : rule -> rule -> bool
     template emits — an A→B edge of the rewrite graph whose cycles make
     the fixpoint pass loop. *)
 
+val instantiate : rule -> match_result -> State.edit option
+(** The rule's target template instantiated at the match, as an edit of
+    the matched state (which it does not touch): new definitions inserted
+    just before the root, and the root redefined in place or, for a copy
+    target, replaced in all its uses. [None] if a target constant
+    expression cannot be evaluated. *)
+
 val rewrite : rule -> Ir.func -> match_result -> Ir.func option
-(** Replace the root definition with the instantiated target template
-    (new definitions inserted just before the root, root redefined in
-    place). Dead source instructions are left for DCE. [None] if a target
-    constant expression cannot be evaluated. *)
+(** {!instantiate} spliced into the function the match was made on, as
+    {!State.splice} would. Dead source instructions are left for DCE. *)
 
 (** Enum translation between the Alive AST and the IR (shared with the
     workload generator's template instantiation). *)

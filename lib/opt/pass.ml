@@ -1,16 +1,29 @@
+module Trace = Alive_trace.Trace
+
 type stats = (string * int) list
 
+(* One backward sweep: users come after their operands, so by the time a
+   def is reached every user it will ever lose has already been decided. *)
 let dce (f : Ir.func) =
-  let rec fixpoint f =
-    let uses = Ir.uses_of f in
-    let live (d : Ir.def) =
-      Option.value ~default:0 (Hashtbl.find_opt uses d.Ir.name) > 0
-    in
-    let body' = List.filter live f.Ir.body in
-    if List.length body' = List.length f.Ir.body then f
-    else fixpoint { f with Ir.body = body' }
+  let uses = Ir.uses_of f in
+  let dead = ref false in
+  let body =
+    List.fold_left
+      (fun live (d : Ir.def) ->
+        if Option.value ~default:0 (Hashtbl.find_opt uses d.Ir.name) > 0 then
+          d :: live
+        else begin
+          dead := true;
+          List.iter
+            (function
+              | Ir.Var n -> Hashtbl.replace uses n (Hashtbl.find uses n - 1)
+              | Ir.Const _ | Ir.Undef _ -> ())
+            (Ir.operands_of d.Ir.inst);
+          live
+        end)
+      [] (List.rev f.Ir.body)
   in
-  fixpoint f
+  if !dead then { f with Ir.body } else f
 
 let bump stats name =
   match List.assoc_opt name stats with
@@ -48,16 +61,18 @@ let compiled_for rules =
    still backstops cycles that keep minting fresh names. *)
 let cycle_fire_cap = 8
 
-(* The worklist rebuild-and-rescan fixpoint (the discipline of Sense-VM's
-   Peephole.hs: after a body-shrinking rewrite, re-examine from the
-   affected position rather than restarting — and never skip the
-   successor). Only definitions whose operand DAG changed are re-examined:
-   the new and changed definitions themselves plus their users up to the
-   compiled pattern depth, since a rewrite at %r can only create a match
-   whose pattern reaches %r. A final full sweep re-validates the fixpoint
-   before returning (also covering cost-guard interactions: a rewrite
-   rejected as cost-increasing can become acceptable after later
-   shrinking), so the result is exactly "no rule fires anywhere". *)
+(* The worklist fixpoint over one in-place function state (the
+   discipline of Sense-VM's Peephole.hs — after a rewrite, re-examine from
+   the affected position rather than restarting, and never skip the
+   successor — without its rebuild of the function). The input is DCE'd
+   on entry, so the cost guard compares live code only. Only definitions
+   whose operand DAG changed are re-examined: the definitions the splice
+   created or changed plus their users up to the compiled pattern depth,
+   since a rewrite at %r can only create a match whose pattern reaches
+   %r. A final full sweep re-validates the fixpoint before returning
+   (also covering cost-guard interactions: a rewrite rejected as
+   cost-increasing can become acceptable after later shrinking), so the
+   result is exactly "no rule fires anywhere". *)
 let run_guarded ~rules ?(max_rewrites = 1000) ?(engine = `Compiled)
     (f : Ir.func) =
   let tree = compiled_for rules in
@@ -66,9 +81,9 @@ let run_guarded ~rules ?(max_rewrites = 1000) ?(engine = `Compiled)
   let cycle_cut = ref false in
   let budget = ref max_rewrites in
   let fired_at : (string * string, int) Hashtbl.t = Hashtbl.create 16 in
-  let cur = ref f in
-  let cur_cost = ref (Cost.func_cost f) in
-  let ctx = ref (Compiled.context tree f) in
+  let f = Trace.with_span "opt.pass.dce" (fun () -> dce f) in
+  let st = State.of_func f in
+  let ctx = Compiled.context_of_state tree st in
   let queue = Queue.create () in
   let queued : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   let push name =
@@ -77,120 +92,96 @@ let run_guarded ~rules ?(max_rewrites = 1000) ?(engine = `Compiled)
       Queue.add name queue
     end
   in
-  (* Users of the given names in the current function, transitively up to
-     the compiled pattern depth — the defs whose match status a change at
-     those names can affect. *)
+  (* The given names and their users, breadth first up to the compiled
+     pattern depth — the defs whose match status a change at those names
+     can affect. Each def is expanded once, from its shallowest level. *)
   let push_affected names =
-    let users : (string, string list) Hashtbl.t = Hashtbl.create 64 in
-    List.iter
-      (fun (d : Ir.def) ->
-        let note = function
-          | Ir.Var n ->
-              Hashtbl.replace users n
-                (d.Ir.name :: Option.value ~default:[] (Hashtbl.find_opt users n))
-          | Ir.Const _ | Ir.Undef _ -> ()
-        in
-        (match d.Ir.inst with
-        | Ir.Binop (_, _, a, b) | Ir.Icmp (_, a, b) ->
-            note a;
-            note b
-        | Ir.Select (c, a, b) ->
-            note c;
-            note a;
-            note b
-        | Ir.Conv (_, a) | Ir.Freeze a -> note a))
-      !cur.Ir.body;
     let seen : (string, unit) Hashtbl.t = Hashtbl.create 16 in
     let rec up level frontier =
-      List.iter
-        (fun n ->
-          if not (Hashtbl.mem seen n) then begin
-            Hashtbl.replace seen n ();
-            push n
-          end)
-        frontier;
+      let fresh =
+        List.fold_left
+          (fun acc n ->
+            if Hashtbl.mem seen n then acc
+            else begin
+              Hashtbl.replace seen n ();
+              push n;
+              n :: acc
+            end)
+          [] frontier
+        |> List.rev
+      in
       if level < Compiled.max_depth tree then
-        let next =
-          List.concat_map
-            (fun n -> Option.value ~default:[] (Hashtbl.find_opt users n))
-            frontier
-        in
-        if next <> [] then up (level + 1) next
+        match List.concat_map (State.users st) fresh with
+        | [] -> ()
+        | next -> up (level + 1) next
     in
     up 0 names
   in
-  (* Try to fire the first acceptable rule at [d]; [true] if the function
-     changed. A match is acceptable when the rewrite evaluates, the
-     DCE'd result does not cost more than the current function (a rule's
-     target only beats its source when the matched interior dies, which
-     shared subexpressions can prevent), and the cycle guard has budget. *)
+  (* The first acceptable rewrite at [d]. A match is acceptable when the
+     rewrite instantiates, the rewritten and DCE'd function does not cost
+     more than the current one (a rule's target only beats its source when
+     the matched interior dies, which shared subexpressions can prevent),
+     and the cycle guard has budget. *)
+  let find_rewrite (d : Ir.def) =
+    let cands =
+      match engine with
+      | `Compiled -> Compiled.candidates ctx d
+      | `Linear -> rules
+    in
+    List.find_map
+      (fun rule ->
+        let key = (d.Ir.name, rule.Matcher.rule_name) in
+        let fires = Option.value ~default:0 (Hashtbl.find_opt fired_at key) in
+        if
+          fires >= cycle_fire_cap
+          && Compiled.in_cycle tree rule.Matcher.rule_name
+        then begin
+          (* The guard is cutting a live rewrite cycle short exactly when
+             the capped rule still matches — report that the same way
+             budget exhaustion does. *)
+          if Option.is_some (Matcher.match_in rule st d.Ir.name) then
+            cycle_cut := true;
+          None
+        end
+        else
+          match Matcher.match_in rule st d.Ir.name with
+          | None -> None
+          | Some m -> (
+              match
+                Trace.with_span "opt.matcher.rewrite" (fun () ->
+                    Matcher.instantiate rule m)
+              with
+              | None -> None
+              | Some e ->
+                  if
+                    Trace.with_span "ir.cost" (fun () -> State.cost_delta st e)
+                    > 0
+                  then None
+                  else Some (rule, key, e)))
+      cands
+  in
+  (* Fire the first acceptable rule at [d]; [true] if the function
+     changed. *)
   let try_fire (d : Ir.def) =
     if !budget = 0 then begin
       budget_out := true;
       false
     end
     else
-      let cands =
-        match engine with
-        | `Compiled -> Compiled.candidates !ctx d
-        | `Linear -> rules
-      in
-      let fired =
-        List.find_map
-          (fun rule ->
-            let key = (d.Ir.name, rule.Matcher.rule_name) in
-            let fires =
-              Option.value ~default:0 (Hashtbl.find_opt fired_at key)
-            in
-            if
-              fires >= cycle_fire_cap
-              && Compiled.in_cycle tree rule.Matcher.rule_name
-            then begin
-              (* The guard is cutting a live rewrite cycle short exactly
-                 when the capped rule still matches — report that the same
-                 way budget exhaustion does. *)
-              if Option.is_some (Matcher.match_at rule !cur d.Ir.name) then
-                cycle_cut := true;
-              None
-            end
-            else
-              match Matcher.match_at rule !cur d.Ir.name with
-              | None -> None
-              | Some m -> (
-                  match Matcher.rewrite rule !cur m with
-                  | None -> None
-                  | Some f' ->
-                      let f' = dce f' in
-                      if Cost.func_cost f' > !cur_cost then None
-                      else Some (rule, key, f')))
-          cands
-      in
-      match fired with
+      match Trace.with_span "opt.pass.match" (fun () -> find_rewrite d) with
       | None -> false
-      | Some (rule, key, f') ->
+      | Some (rule, key, e) ->
           decr budget;
           stats := bump !stats rule.Matcher.rule_name;
           Hashtbl.replace fired_at key
             (1 + Option.value ~default:0 (Hashtbl.find_opt fired_at key));
-          let before = !cur in
-          cur := f';
-          cur_cost := Cost.func_cost f';
-          ctx := Compiled.context tree f';
-          (* Defs that are new or redefined relative to [before] (covers
-             the in-place root replacement, freshly emitted target defs,
-             and every user rewritten by a copy-root substitution). *)
-          let old_defs : (string, Ir.inst) Hashtbl.t = Hashtbl.create 64 in
-          List.iter
-            (fun (d : Ir.def) -> Hashtbl.replace old_defs d.Ir.name d.Ir.inst)
-            before.Ir.body;
           let changed =
-            List.filter_map
-              (fun (d : Ir.def) ->
-                match Hashtbl.find_opt old_defs d.Ir.name with
-                | Some inst when inst = d.Ir.inst -> None
-                | _ -> Some d.Ir.name)
-              f'.Ir.body
+            Trace.with_span "opt.matcher.rewrite" (fun () -> State.splice st e)
           in
+          Trace.with_span "opt.pass.dce" (fun () -> State.collect st);
+          let changed = List.filter (State.mem st) changed in
+          Trace.with_span "opt.pass.precondition" (fun () ->
+              State.refresh st changed);
           push_affected changed;
           true
   in
@@ -198,20 +189,23 @@ let run_guarded ~rules ?(max_rewrites = 1000) ?(engine = `Compiled)
     match Queue.take_opt queue with
     | Some name ->
         Hashtbl.remove queued name;
-        (match Compiled.find_def !ctx name with
+        (match State.find st name with
         | None -> () (* rewritten away or DCE'd since it was queued *)
         | Some d -> ignore (try_fire d));
         if not !budget_out then process ()
     | None ->
         (* Fixpoint verification sweep: if anything can still fire, fire
            it (seeding the worklist with its fallout) and keep going. *)
-        if (not !budget_out) && List.exists try_fire !cur.Ir.body then
-          process ()
+        if
+          (not !budget_out)
+          && Trace.with_span "opt.pass.sweep" (fun () ->
+                 List.exists try_fire (State.to_func st).Ir.body)
+        then process ()
   in
   List.iter (fun (d : Ir.def) -> push d.Ir.name) f.Ir.body;
   process ();
   {
-    func = dce !cur;
+    func = State.to_func st;
     stats = List.sort (fun (_, a) (_, b) -> Int.compare b a) !stats;
     saturated = !budget_out || !cycle_cut;
   }

@@ -1,13 +1,14 @@
-(** The optimization pass driver: a worklist rebuild-and-rescan fixpoint
-    over the {!Compiled} decision tree (first match wins in registry
-    order, as in the generated C++ pass of §4), then dead-code removal.
-    Firing counts feed the Fig. 9 experiment. *)
+(** The optimization pass driver: a worklist fixpoint over the {!Compiled}
+    decision tree (first match wins in registry order, as in the generated
+    C++ pass of §4), rewriting one in-place {!State} per function. Firing
+    counts feed the Fig. 9 experiment. *)
 
 type stats = (string * int) list
 (** Rule name → number of firings, descending. *)
 
 val dce : Ir.func -> Ir.func
-(** Remove definitions with no remaining uses, transitively. Instructions
+(** Remove definitions with no remaining uses, transitively, in one
+    backward sweep over a body in definition order. Instructions
     that can trigger UB (division, shifts) are kept only if used — the same
     (deliberate) aggressiveness as LLVM's DCE on InstCombine leftovers. *)
 
@@ -31,9 +32,11 @@ val run_guarded :
   Ir.func ->
   outcome
 (** Like {!run}, but reports whether the fixpoint was actually reached or
-    the budget cut a (probable) rewrite cycle short. After a rewrite only
-    the changed definitions and their users within the compiled pattern
-    depth are re-examined; a final full sweep re-validates the fixpoint,
+    the budget cut a (probable) rewrite cycle short. The input is DCE'd
+    first, so the cost guard (a rewrite may not raise {!Cost.func_cost})
+    compares live code only. After a rewrite only the changed definitions
+    and their users within the compiled pattern depth are re-examined; a
+    final full sweep re-validates the fixpoint,
     so a body-shrinking rewrite can never skip its successor. Rules in a
     cyclic SCC of the rewrite graph are additionally capped per
     (definition, rule) site. *)

@@ -168,7 +168,13 @@ let instantiate g (rule : Matcher.rule) w =
           { Ir.fname = "dummy"; params = g.params; body = [];
             ret = Ir.Const (Bitvec.zero w) }
         in
-        let env = { Concrete.func = dummy; consts = !consts; values = [] } in
+        let env =
+          {
+            Concrete.st = lazy (State.of_func dummy);
+            consts = !consts;
+            values = [];
+          }
+        in
         match Concrete.cexpr env ~width e with
         | Some c -> Ir.Const c
         | None -> raise Skip)
@@ -224,7 +230,7 @@ let try_inject g rule w =
               ret = Ir.Const (Bitvec.zero w);
             }
           in
-          let env = { Concrete.func = f; consts; values } in
+          let env = { Concrete.st = lazy (State.of_func f); consts; values } in
           if Concrete.pred env rule.Matcher.transform.pre then begin
             List.iter
               (fun (d : Ir.def) ->

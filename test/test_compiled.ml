@@ -18,20 +18,6 @@ let valid_rules =
 
 let tree = lazy (Alive_opt.Compiled.build valid_rules)
 
-(* Same (rule, root, bindings) from both matchers at one site. *)
-let same_match c l =
-  match (c, l) with
-  | None, None -> true
-  | Some ((rc : Alive_opt.Matcher.rule), (mc : Alive_opt.Matcher.match_result)),
-    Some (rl, ml) ->
-      String.equal rc.Alive_opt.Matcher.rule_name rl.Alive_opt.Matcher.rule_name
-      && String.equal mc.Alive_opt.Matcher.root ml.Alive_opt.Matcher.root
-      && mc.Alive_opt.Matcher.bindings.Alive_opt.Concrete.consts
-         = ml.bindings.Alive_opt.Concrete.consts
-      && mc.Alive_opt.Matcher.bindings.Alive_opt.Concrete.values
-         = ml.bindings.Alive_opt.Concrete.values
-  | _ -> false
-
 (* Count the sites where the two matchers disagree over a function pool. *)
 let divergences funcs =
   let tree = Lazy.force tree in
@@ -41,49 +27,10 @@ let divergences funcs =
       List.fold_left
         (fun bad (d : Ir.def) ->
           let c = Alive_opt.Compiled.match_def ctx d in
-          let l =
-            Alive_opt.Compiled.match_linear ~rules:valid_rules f d.Ir.name
-          in
-          if same_match c l then bad else bad + 1)
+          let l = Alive_opt.Compiled.match_linear ~rules:valid_rules ctx d in
+          if Alive_opt.Compiled.same_match c l then bad else bad + 1)
         bad f.Ir.body)
     0 funcs
-
-(* Alpha-normalize def names to body positions: [Matcher.rewrite] mints
-   fresh names from a global counter, so two equal-modulo-renaming runs
-   print different %alive.N names. *)
-let normalize (f : Ir.func) =
-  let renamed = Hashtbl.create 64 in
-  List.iteri
-    (fun i (d : Ir.def) ->
-      Hashtbl.replace renamed d.Ir.name (Printf.sprintf "d%d" i))
-    f.Ir.body;
-  let value = function
-    | Ir.Var n as v -> (
-        match Hashtbl.find_opt renamed n with
-        | Some n' -> Ir.Var n'
-        | None -> v)
-    | (Ir.Const _ | Ir.Undef _) as v -> v
-  in
-  let inst = function
-    | Ir.Binop (op, attrs, a, b) -> Ir.Binop (op, attrs, value a, value b)
-    | Ir.Icmp (c, a, b) -> Ir.Icmp (c, value a, value b)
-    | Ir.Select (c, a, b) -> Ir.Select (value c, value a, value b)
-    | Ir.Conv (c, a) -> Ir.Conv (c, value a)
-    | Ir.Freeze a -> Ir.Freeze (value a)
-  in
-  {
-    f with
-    Ir.body =
-      List.map
-        (fun (d : Ir.def) ->
-          {
-            d with
-            Ir.name = Hashtbl.find renamed d.Ir.name;
-            Ir.inst = inst d.Ir.inst;
-          })
-        f.Ir.body;
-    Ir.ret = value f.Ir.ret;
-  }
 
 let structure_tests =
   [
@@ -173,7 +120,8 @@ let parity_tests =
             check_bool
               (Printf.sprintf "%s same fixpoint" f.Ir.fname)
               true
-              (normalize c.Alive_opt.Pass.func = normalize l.Alive_opt.Pass.func);
+              (Ir.normalize_names c.Alive_opt.Pass.func
+               = Ir.normalize_names l.Alive_opt.Pass.func);
             check_bool
               (Printf.sprintf "%s same stats" f.Ir.fname)
               true

@@ -23,6 +23,7 @@ let () =
       Test_absint.suite;
       Test_opt.suite;
       Test_compiled.suite;
+      Test_state.suite;
       Test_suite.suite;
       Test_engine.suite;
       Test_differential.suite;
