@@ -347,7 +347,9 @@ let daemon_throughput () =
 let opt_leg () =
   let rules = Lazy.force valid_rules in
   let config = { Alive_opt.Workload.default with functions = 400; seed = 7 } in
+  let t0 = Unix.gettimeofday () in
   let funcs = Alive_opt.Workload.generate config rules in
+  let gen_wall = Unix.gettimeofday () -. t0 in
   let t0 = Unix.gettimeofday () in
   let _, stats = Alive_opt.Pass.run_module ~rules funcs in
   let pass_wall = Unix.gettimeofday () -. t0 in
@@ -395,6 +397,8 @@ let opt_leg () =
   object
     method firings = firings
     method firings_per_s = per_s firings pass_wall
+    method gen_s = gen_wall
+    method pass_s = pass_wall
     method top10_share = top10
     method match_per_s = per_s n_sites compiled_wall
     method match_linear_per_s = per_s n_sites linear_wall
@@ -421,7 +425,9 @@ let parallel () =
     (* Each measured run starts with a cold verdict cache so within-run
        caching is measured but nothing leaks across configurations. *)
     Alive_smt.Vc_cache.clear ();
-    Alive_engine.Engine.verify_corpus ~jobs tasks
+    let cpu0 = Alive_trace.Ledger.cpu_time () in
+    let r = Alive_engine.Engine.verify_corpus ~jobs tasks in
+    (r, Alive_trace.Ledger.cpu_time () -. cpu0)
   in
   (* Warm the hash-consing table so both runs pay the same setup. *)
   ignore (run 1);
@@ -430,7 +436,7 @@ let parallel () =
      and the snapshot after the scaling run feeds BENCH_trace.json and the
      performance ledger. *)
   if !json_enabled then Alive_trace.Metrics.set_phase_timing true;
-  let r1 = run 1 in
+  let r1, cpu1 = run 1 in
   (* A/B leg: the same jobs=1 run with the verdict cache and incremental
      CEGAR switched off, so the solve-path optimizations stay measurable
      run over run. The switches are restored afterwards. *)
@@ -438,16 +444,16 @@ let parallel () =
   let incr_was = Alive_smt.Solve.incremental_enabled () in
   Alive_smt.Vc_cache.set_enabled false;
   Alive_smt.Solve.set_incremental false;
-  let r_off = run 1 in
+  let r_off, _ = run 1 in
   Alive_smt.Vc_cache.set_enabled cache_was;
   Alive_smt.Solve.set_incremental incr_was;
   let n = Alive_engine.Engine.default_jobs () in
-  let rn =
+  let rn, rn_cpu =
     if n > 1 then begin
       if !json_enabled then Alive_trace.Metrics.reset ();
       run n
     end
-    else r1
+    else (r1, cpu1)
   in
   Printf.printf "  %d tasks, %d queries, %d conflicts total\n"
     (List.length r1.results) r1.total.queries r1.total.telemetry.conflicts;
@@ -460,8 +466,8 @@ let parallel () =
   if n = 1 then
     Printf.printf "  (single-core host: run on a multi-core machine to see scaling)\n";
   (* Wide-width leg: the entries without a justified width cap, verified
-     at exactly w=16 and w=32. This is the surface the AIG simplifier and
-     the cube splitter exist for; tracking its wall time per width keeps
+     at exactly w=16 and w=32. This is the surface the AIG simplifier
+     exists for; tracking its wall time per width keeps
      the wide-width wall from silently creeping back. *)
   let sweep w =
     let tasks =
@@ -528,7 +534,6 @@ let parallel () =
           ("conflicts_w16", Json.Int r16.total.telemetry.conflicts);
           ("wall_w32_s", Json.Float r32.wall);
           ("conflicts_w32", Json.Int r32.total.telemetry.conflicts);
-          ("cubes", Json.Int r1.total.telemetry.cubes_spawned);
           ("aig_nodes_in", Json.Int r1.total.telemetry.aig_nodes_in);
           ("aig_nodes_out", Json.Int r1.total.telemetry.aig_nodes_out);
           ("opt_firings", Json.Int opt#firings);
@@ -567,7 +572,7 @@ let parallel () =
     in
     let record =
       Alive_trace.Ledger.make ~label:"bench.parallel" ~jobs:n
-        ~tasks:(List.length rn.results) ~wall_s:rn.wall
+        ~tasks:(List.length rn.results) ~wall_s:rn.wall ~cpu_s:rn_cpu
         ~sat_s:rn.total.telemetry.sat_time ~queries:rn.total.queries
         ~conflicts:rn.total.telemetry.conflicts
         ~cegar_iterations:rn.total.telemetry.cegar_iterations
@@ -576,14 +581,13 @@ let parallel () =
         ~cache_evictions:rn.total.telemetry.cache_evictions
         ~peak_clauses:rn.total.telemetry.peak_clauses
         ~peak_vars:rn.total.telemetry.peak_vars
-        ~cubes:rn.total.telemetry.cubes_spawned
-        ~cubes_pruned:rn.total.telemetry.cubes_pruned
         ~aig_nodes_in:rn.total.telemetry.aig_nodes_in
         ~aig_nodes_out:rn.total.telemetry.aig_nodes_out
         ~opt_firings:opt#firings ~opt_firings_per_s:opt#firings_per_s
         ~opt_match_per_s:opt#match_per_s
         ~opt_match_linear_per_s:opt#match_linear_per_s
-        ~opt_top10_share:opt#top10_share ~verdicts ()
+        ~opt_top10_share:opt#top10_share ~opt_gen_s:opt#gen_s
+        ~opt_pass_s:opt#pass_s ~verdicts ()
     in
     if Sys.file_exists "bench" && Sys.is_directory "bench" then begin
       Alive_trace.Ledger.append ~path:"bench/ledger.jsonl" record;

@@ -134,16 +134,6 @@ let dump_cnf_arg =
           "Write every solved SAT query to $(docv) as a DIMACS file \
            (qNNNNNN-RESULT.cnf), creating the directory if needed.")
 
-let encoding_arg =
-  Arg.(
-    value
-    & opt (enum [ ("tseitin", `Tseitin); ("pg", `Plaisted_greenbaum) ]) `Tseitin
-    & info [ "encoding" ] ~docv:"ENC"
-        ~doc:
-          "CNF encoding: $(b,tseitin) (default) or $(b,pg) \
-           (Plaisted-Greenbaum polarity-aware, fewer clauses per query; see \
-           docs/PERFORMANCE.md).")
-
 let no_aig_arg =
   Arg.(
     value & flag
@@ -153,24 +143,6 @@ let no_aig_arg =
            directly to CNF instead of building, rewriting and \
            structurally hashing an and-inverter graph first (see \
            docs/PERFORMANCE.md).")
-
-let no_cubes_arg =
-  Arg.(
-    value & flag
-    & info [ "no-cubes" ]
-        ~doc:
-          "Disable cube-and-conquer: never split a hard query on the high \
-           bits of its heaviest operand (divisors first); solve every \
-           query whole.")
-
-let cube_threshold_arg =
-  Arg.(
-    value
-    & opt int 0
-    & info [ "cube-threshold" ] ~docv:"N"
-        ~doc:
-          "Conflicts a query may burn whole before being split into cubes \
-           (default 2000; 0 keeps the default).")
 
 let dump_aig_arg =
   Arg.(
@@ -187,18 +159,14 @@ let setup_observability ~trace ~collapsed ~metrics =
   if trace <> None || collapsed <> None then Alive_trace.Trace.set_enabled true;
   if metrics then Alive_trace.Metrics.set_phase_timing true
 
-(* Flip the solve-path switches (cache, incremental CEGAR, CNF dumping,
-   encoding) before any query runs. *)
-let setup_solve_path ?(no_static = false) ?(no_aig = false) ?(no_cubes = false)
-    ?(cube_threshold = 0) ?(dump_aig = None) ~no_cache ~no_incremental
-    ~dump_cnf ~encoding () =
+(* Flip the solve-path switches (cache, static tier, incremental CEGAR, AIG,
+   CNF/AIG dumping) before any query runs. *)
+let setup_solve_path ~no_static ~no_aig ~dump_aig ~no_cache ~no_incremental
+    ~dump_cnf =
   if no_cache then Alive_smt.Vc_cache.set_enabled false;
   if no_static then Alive_absint.Prover.set_enabled false;
   if no_incremental then Alive_smt.Solve.set_incremental false;
   if no_aig then Alive_smt.Bitblast.set_simplify false;
-  if no_cubes then Alive_smt.Solve.set_cubes false;
-  if cube_threshold > 0 then Alive_smt.Solve.set_cube_threshold cube_threshold;
-  Alive_smt.Bitblast.set_encoding encoding;
   let mkdir dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   in
@@ -255,14 +223,14 @@ let with_transforms file f =
 
 let verify_cmd =
   let run file widths quiet jobs timeout conflict_limit show_stats trace
-      collapsed metrics no_cache no_static no_incremental dump_cnf encoding
-      no_aig no_cubes cube_threshold dump_aig =
+      collapsed metrics no_cache no_static no_incremental dump_cnf no_aig
+      dump_aig =
     let widths = parse_widths widths in
     let jobs = resolve_jobs jobs in
     let budget = budget_of ~timeout ~conflict_limit in
     setup_observability ~trace ~collapsed ~metrics;
-    setup_solve_path ~no_static ~no_aig ~no_cubes ~cube_threshold ~dump_aig
-      ~no_cache ~no_incremental ~dump_cnf ~encoding ();
+    setup_solve_path ~no_static ~no_aig ~dump_aig ~no_cache ~no_incremental
+      ~dump_cnf;
     let code =
       with_transforms file (fun transforms ->
           let invalid = ref 0 and unknown = ref 0 in
@@ -321,8 +289,7 @@ let verify_cmd =
       const run $ file_arg $ widths_arg $ quiet $ jobs_arg $ timeout_arg
       $ conflict_limit_arg $ stats $ trace_arg $ collapsed_arg $ metrics_arg
       $ no_cache_arg $ no_static_arg $ no_incremental_arg $ dump_cnf_arg
-      $ encoding_arg $ no_aig_arg $ no_cubes_arg $ cube_threshold_arg
-      $ dump_aig_arg)
+      $ no_aig_arg $ dump_aig_arg)
 
 let infer_cmd =
   let run file widths =
@@ -580,22 +547,38 @@ let optimize_cmd =
        never materialized at once. *)
     let batches = Workload.batches config ~batch_size in
     let t0 = Unix.gettimeofday () in
+    let cpu0 = Alive_trace.Ledger.cpu_time () in
     let outcomes =
       Alive_engine.Engine.map ~jobs
         ~label:(fun (off, _) -> Printf.sprintf "batch@%d" off)
         (fun (off, bc) ->
+          let g0 = Unix.gettimeofday () in
           let funcs =
             Alive_trace.Trace.with_span "opt.workload.generate" (fun () ->
                 Workload.generate ~offset:off bc rules)
           in
+          let p0 = Unix.gettimeofday () in
           let optimized, stats = Pass.run_module ~rules ~engine funcs in
+          let p1 = Unix.gettimeofday () in
           let cost fs =
             List.fold_left (fun a f -> a + Cost.func_cost f) 0 fs
           in
-          (List.length funcs, stats, cost funcs, cost optimized))
+          ( (List.length funcs, stats, cost funcs, cost optimized),
+            (p0 -. g0, p1 -. p0) ))
         batches
     in
     let wall = Unix.gettimeofday () -. t0 in
+    let cpu_s = Alive_trace.Ledger.cpu_time () -. cpu0 in
+    (* Generation and pass seconds, summed over batches (so over workers:
+       with several jobs they add up to more than [wall]). *)
+    let gen_s, pass_s =
+      List.fold_left
+        (fun (g, p) (o : _ Alive_engine.Engine.outcome) ->
+          match o.result with
+          | Ok (_, (g', p')) -> (g +. g', p +. p')
+          | Error _ -> (g, p))
+        (0.0, 0.0) outcomes
+    in
     let failed =
       List.filter
         (fun (o : _ Alive_engine.Engine.outcome) -> Result.is_error o.result)
@@ -613,7 +596,7 @@ let optimize_cmd =
       List.fold_left
         (fun (n, st, ci, co) (o : _ Alive_engine.Engine.outcome) ->
           match o.result with
-          | Ok (n', st', ci', co') ->
+          | Ok ((n', st', ci', co'), _) ->
               (n + n', Pass.merge_stats st st', ci + ci', co + co')
           | Error _ -> (n, st, ci, co))
         (0, [], 0, 0) outcomes
@@ -696,9 +679,10 @@ let optimize_cmd =
           0 probe
     in
     Printf.printf
-      "optimized %d functions in %.2fs on %d jobs (%s engine): %d firings \
-       (%.0f/s), top-10 share %.1f%%, cost %d -> %d\n"
-      total wall jobs
+      "optimized %d functions in %.2fs (cpu %.2fs; generate %.2fs, pass \
+       %.2fs) on %d jobs (%s engine): %d firings (%.0f/s), top-10 share \
+       %.1f%%, cost %d -> %d\n"
+      total wall cpu_s gen_s pass_s jobs
       (if linear then "linear" else "compiled")
       firings firings_per_s (100.0 *. top10_share) cost_in cost_out;
     Printf.printf
@@ -724,6 +708,9 @@ let optimize_cmd =
                ("jobs", Json.Int jobs);
                ("engine", Json.String (if linear then "linear" else "compiled"));
                ("wall_s", Json.Float wall);
+               ("cpu_s", Json.Float cpu_s);
+               ("opt_gen_s", Json.Float gen_s);
+               ("opt_pass_s", Json.Float pass_s);
                ("opt_firings", Json.Int firings);
                ("opt_firings_per_s", Json.Float firings_per_s);
                ("opt_top10_share", Json.Float top10_share);
@@ -742,11 +729,12 @@ let optimize_cmd =
       (fun path ->
         let record =
           Alive_trace.Ledger.make ~label:"optimize" ~jobs ~tasks:total
-            ~wall_s:wall ~sat_s:0.0 ~queries:0 ~conflicts:0
+            ~wall_s:wall ~cpu_s ~sat_s:0.0 ~queries:0 ~conflicts:0
             ~cegar_iterations:0 ~opt_firings:firings
             ~opt_firings_per_s:firings_per_s ~opt_match_per_s:match_per_s
             ~opt_match_linear_per_s:match_linear_per_s
-            ~opt_top10_share:top10_share ~verdicts:[] ()
+            ~opt_top10_share:top10_share ~opt_gen_s:gen_s ~opt_pass_s:pass_s
+            ~verdicts:[] ()
         in
         Alive_trace.Ledger.append ~path record;
         Printf.printf "ledger record appended to %s\n" path)
@@ -934,9 +922,12 @@ let perf_diff_cmd =
                the fields both define, so warn and proceed rather than
                refuse — a schema bump must not wedge CI until the baseline
                is re-seeded. *)
-            (match Ledger.schema_mismatch ~baseline:base ~latest with
-            | Some msg -> Printf.eprintf "perf diff: warning: %s\n" msg
-            | None -> ());
+            List.iter
+              (Option.iter (Printf.eprintf "perf diff: warning: %s\n"))
+              [
+                Ledger.schema_mismatch ~baseline:base ~latest;
+                Ledger.dirty_warning ~baseline:base ~latest;
+              ];
             let d =
               Ledger.diff ~threshold_pct:threshold ~baseline:base ~latest ()
             in

@@ -41,8 +41,6 @@ let static_report_path = ref ""
 let no_incremental = ref false
 let dump_cnf = ref ""
 let no_aig = ref false
-let no_cubes = ref false
-let cube_threshold = ref 0
 let dump_aig = ref ""
 let widths_spec = ref ""
 
@@ -77,10 +75,6 @@ let width_domain : int list option ref = ref None
 
 let entry_widths (e : Alive_suite.Entry.t) =
   match e.widths with Some w -> Some w | None -> !width_domain
-
-let set_encoding_arg = function
-  | "pg" -> Alive_smt.Bitblast.set_encoding `Plaisted_greenbaum
-  | _ -> Alive_smt.Bitblast.set_encoding `Tseitin
 
 let speclist =
   [
@@ -143,22 +137,11 @@ let speclist =
       Arg.Set no_aig,
       " disable the AIG structural-simplification pass (direct \
        gate-by-gate CNF encoding) — the parity baseline for the AIG path" );
-    ( "--no-cubes",
-      Arg.Set no_cubes,
-      " disable cube-and-conquer: solve every query whole instead of \
-       splitting hard ones on their heaviest operand" );
-    ( "--cube-threshold",
-      Arg.Set_int cube_threshold,
-      "N  conflicts a query may burn whole before being split into cubes \
-       (default 2000)" );
     ( "--widths",
       Arg.Set_string widths_spec,
       "SPEC  width domain for entries without an explicit cap: \
        comma-separated widths and inclusive ranges (e.g. 16,32 or 1..32); \
        capped entries keep their caps" );
-    ( "--encoding",
-      Arg.Symbol ([ "tseitin"; "pg" ], set_encoding_arg),
-      "  CNF encoding: tseitin (default) or pg (Plaisted-Greenbaum)" );
     ( "--via",
       Arg.Set_string via,
       "SOCKET  send entries to the 'alive serve' daemon at SOCKET instead \
@@ -748,8 +731,6 @@ let () =
   if !no_static then Alive_absint.Prover.set_enabled false;
   if !no_incremental then Alive_smt.Solve.set_incremental false;
   if !no_aig then Alive_smt.Bitblast.set_simplify false;
-  if !no_cubes then Alive_smt.Solve.set_cubes false;
-  if !cube_threshold > 0 then Alive_smt.Solve.set_cube_threshold !cube_threshold;
   if !widths_spec <> "" then width_domain := Some (parse_widths !widths_spec);
   if !dump_cnf <> "" then begin
     (try Unix.mkdir !dump_cnf 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
@@ -992,12 +973,11 @@ let () =
       in
       (* Scrape the daemon's telemetry for the schema-6/7 fields:
          structured log volume, slow-query count, per-op latency stats,
-         and the cube/AIG solver counters. Best effort — a daemon that
+         and the AIG solver counters. Best effort — a daemon that
          went away leaves them at their zero defaults rather than failing
          the run. *)
-      let log_lines, slow_queries, ops, (cubes, cubes_pruned, aig_in, aig_out)
-          =
-        let zero = (0, 0, [], (0, 0, 0, 0)) in
+      let log_lines, slow_queries, ops, (aig_in, aig_out) =
+        let zero = (0, 0, [], (0, 0)) in
         let module Client = Alive_service.Client in
         match Client.connect !via with
         | Error _ -> zero
@@ -1044,9 +1024,7 @@ let () =
                 ( counter "log.lines",
                   counter "service.slow_queries",
                   ops,
-                  ( counter "solve.cubes_spawned",
-                    counter "solve.cubes_pruned",
-                    counter "solve.aig_nodes_in",
+                  ( counter "solve.aig_nodes_in",
                     counter "solve.aig_nodes_out" ) ))
       in
       let record =
@@ -1057,23 +1035,25 @@ let () =
           ~cegar_iterations:tv.vcegar ~cache_hits:tv.vch ~cache_misses:tv.vcm
           ~requests:(List.length results)
           ~store_hits:tv.vsh ~store_misses:tv.vsm ~static_proved:tv.vst
-          ~log_lines ~slow_queries ~ops ~cubes ~cubes_pruned
-          ~aig_nodes_in:aig_in ~aig_nodes_out:aig_out ~verdicts ()
+          ~log_lines ~slow_queries ~ops ~aig_nodes_in:aig_in
+          ~aig_nodes_out:aig_out ~verdicts ()
       in
       Alive_trace.Ledger.append ~path:!ledger_path record;
       Printf.printf "ledger record appended to %s\n" !ledger_path
     end
   end
   else begin
+    let cpu0 = Alive_trace.Ledger.cpu_time () in
     let report = Engine.verify_corpus ~jobs ?budget ~on_result tasks in
+    let cpu_s = Alive_trace.Ledger.cpu_time () -. cpu0 in
     if !stats then Engine.print_table report
     else
       Printf.printf
-        "done: %d entries%s, %d mismatches, %d undecided; wall %.2fs with %d \
-         job(s), %d queries, sat %.2fs, %d conflicts, %d cegar iterations, \
-         store %d/%d hit/miss, %d static-proved\n"
+        "done: %d entries%s, %d mismatches, %d undecided; wall %.2fs (cpu \
+         %.2fs) with %d job(s), %d queries, sat %.2fs, %d conflicts, %d cegar \
+         iterations, store %d/%d hit/miss, %d static-proved\n"
         (List.length report.results)
-        since_label !mismatches !undecided report.wall report.jobs
+        since_label !mismatches !undecided report.wall cpu_s report.jobs
         report.total.queries report.total.telemetry.sat_time
         report.total.telemetry.conflicts
         report.total.telemetry.cegar_iterations
@@ -1105,7 +1085,7 @@ let () =
         Alive_trace.Ledger.make ~label ~jobs:report.jobs
           ~tasks:(List.length report.results)
           ~budget_timeout_s:!timeout ~budget_conflicts:!conflicts
-          ~wall_s:report.wall ~sat_s:report.total.telemetry.sat_time
+          ~wall_s:report.wall ~cpu_s ~sat_s:report.total.telemetry.sat_time
           ~queries:report.total.queries
           ~conflicts:report.total.telemetry.conflicts
           ~cegar_iterations:report.total.telemetry.cegar_iterations
@@ -1117,8 +1097,6 @@ let () =
           ~store_hits:report.total.telemetry.store_hits
           ~store_misses:report.total.telemetry.store_misses
           ~static_proved:report.total.telemetry.static_proved
-          ~cubes:report.total.telemetry.cubes_spawned
-          ~cubes_pruned:report.total.telemetry.cubes_pruned
           ~aig_nodes_in:report.total.telemetry.aig_nodes_in
           ~aig_nodes_out:report.total.telemetry.aig_nodes_out ~verdicts ()
       in

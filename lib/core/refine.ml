@@ -98,8 +98,8 @@ let pp_stats ppf s =
     "typings=%d queries=%d unknown=%d (timeout=%d conflicts=%d cegar=%d) \
      typing=%.3fs vcgen=%.3fs sat=%.3fs conflicts=%d decisions=%d \
      propagations=%d clauses=%d vars=%d peak_clauses=%d peak_vars=%d \
-     cegar=%d cache_hits=%d cache_misses=%d static_proved=%d cubes=%d \
-     cubes_pruned=%d aig_nodes_in=%d aig_nodes_out=%d"
+     cegar=%d cache_hits=%d cache_misses=%d static_proved=%d \
+     aig_nodes_in=%d aig_nodes_out=%d"
     s.typings_done s.queries s.unknowns s.unknown_reasons.by_timeout
     s.unknown_reasons.by_conflicts s.unknown_reasons.by_cegar s.typing_s
     s.vcgen_s s.telemetry.sat_time s.telemetry.conflicts s.telemetry.decisions
@@ -107,7 +107,6 @@ let pp_stats ppf s =
     s.telemetry.peak_clauses s.telemetry.peak_vars
     s.telemetry.cegar_iterations s.telemetry.cache_hits
     s.telemetry.cache_misses s.telemetry.static_proved
-    s.telemetry.cubes_spawned s.telemetry.cubes_pruned
     s.telemetry.aig_nodes_in s.telemetry.aig_nodes_out
 
 (* Instruction names to check: defined on both sides (the root always is,

@@ -224,43 +224,6 @@ module Pool = struct
     else Mutex.unlock pool.lock
 end
 
-(* --- Cube fan-out runner ---
-
-   [Pool.await] blocks its caller without helping to run queued work, so
-   cube tasks submitted back into the pool a verification task is itself
-   running on would deadlock once every worker waits on its own cubes.
-   The cube runner therefore uses a dedicated pool, created on the first
-   hard query, and is only installed when the machine has real
-   parallelism — on one core the sequential assumption-scan inside
-   [Solve] is strictly better (shared learnt clauses, no domain spawns). *)
-
-let cube_pool_lock = Mutex.create ()
-let cube_pool_cell = ref None
-
-let cube_pool () =
-  Mutex.lock cube_pool_lock;
-  let p =
-    match !cube_pool_cell with
-    | Some p -> p
-    | None ->
-        let p = Pool.create () in
-        cube_pool_cell := Some p;
-        p
-  in
-  Mutex.unlock cube_pool_lock;
-  p
-
-let install_cube_runner () =
-  Solve.set_cube_runner
-    (Some
-       (fun thunks ->
-         let pool = cube_pool () in
-         thunks
-         |> List.map (fun f -> Pool.submit pool f)
-         |> List.iter (fun fut -> ignore (Pool.await fut))))
-
-let () = if default_jobs () > 1 then install_cube_runner ()
-
 (* --- Per-typing fan-out inside one transformation --- *)
 
 (* Deterministic reduction replicating the sequential scan of [Refine.run]:
@@ -458,7 +421,7 @@ let print_table ?(oc = stdout) report =
      unknown (timeout=%d conflicts=%d cegar=%d), typing %.2fs, vcgen %.2fs, \
      sat %.2fs, %d conflicts, %d clauses (peak %d), %d vars (peak %d), %d \
      cegar iterations, cache %d/%d hit/miss, store %d/%d hit/miss, %d \
-     static-proved, %d cubes (%d pruned), aig %d->%d nodes\n"
+     static-proved, aig %d->%d nodes\n"
     (List.length report.results)
     report.crashed report.wall report.jobs t.Refine.queries t.Refine.unknowns
     u.Refine.by_timeout u.Refine.by_conflicts u.Refine.by_cegar
@@ -468,8 +431,7 @@ let print_table ?(oc = stdout) report =
     t.Refine.telemetry.peak_vars t.Refine.telemetry.cegar_iterations
     t.Refine.telemetry.cache_hits t.Refine.telemetry.cache_misses
     t.Refine.telemetry.store_hits t.Refine.telemetry.store_misses
-    t.Refine.telemetry.static_proved t.Refine.telemetry.cubes_spawned
-    t.Refine.telemetry.cubes_pruned t.Refine.telemetry.aig_nodes_in
+    t.Refine.telemetry.static_proved t.Refine.telemetry.aig_nodes_in
     t.Refine.telemetry.aig_nodes_out
 
 let stats_json (s : Refine.stats) =
@@ -505,8 +467,6 @@ let stats_json (s : Refine.stats) =
       ("store_hits", Json.Int s.Refine.telemetry.store_hits);
       ("store_misses", Json.Int s.Refine.telemetry.store_misses);
       ("static_proved", Json.Int s.Refine.telemetry.static_proved);
-      ("cubes_spawned", Json.Int s.Refine.telemetry.cubes_spawned);
-      ("cubes_pruned", Json.Int s.Refine.telemetry.cubes_pruned);
       ("aig_nodes_in", Json.Int s.Refine.telemetry.aig_nodes_in);
       ("aig_nodes_out", Json.Int s.Refine.telemetry.aig_nodes_out);
     ]

@@ -11,10 +11,9 @@
    mul/div/rem lowerings — exist exactly once no matter how many times
    the blaster rebuilds them.
 
-   CNF is emitted from the reduced graph on demand, cone by cone, with a
-   per-node polarity mask so one-sided (Plaisted–Greenbaum) emission can
-   later be completed to two-sided when a new root needs the other
-   direction. MUX/XOR shapes — AND(¬(c∧d̄), ¬(¬c∧ē)) — are recognized at
+   CNF is emitted from the reduced graph on demand, cone by cone, every
+   node with its full two-sided (Tseitin) definition, and each node at
+   most once per graph. MUX/XOR shapes — AND(¬(c∧d̄), ¬(¬c∧ē)) — are recognized at
    emission and encoded as a single if-then-else gate, skipping the two
    inner nodes entirely. *)
 
@@ -41,7 +40,7 @@ type t = {
   mutable ands : int; (* distinct AND nodes allocated *)
   (* CNF emission state *)
   sat_of : (int, S.lit) Hashtbl.t;
-  emitted : (int, int) Hashtbl.t; (* node -> polarity mask: 1 pos, 2 neg *)
+  emitted : (int, unit) Hashtbl.t; (* nodes whose definition is emitted *)
 }
 
 let create () =
@@ -171,9 +170,6 @@ let stats (g : t) =
 
 (* --- CNF emission --- *)
 
-let swap_mask m = ((m land 1) lsl 1) lor ((m land 2) lsr 1)
-let mask_through c m = if c = 1 then swap_mask m else m
-
 (* MUX view: n = AND(¬X, ¬Y) with X = AND(c, d'), Y = AND(¬c, e') is
    ite(c, ¬d', ¬e'). XOR is the special case ¬d' = e'. *)
 let ite_view g n =
@@ -196,7 +192,7 @@ let sat_lit_opt g l =
   | Some s -> Some (if compl l = 1 then S.neg s else s)
   | None -> None
 
-let emit g ~false_lit ~fresh ~clause ~two_sided root =
+let emit g ~false_lit ~fresh ~clause root =
   let sat_var n =
     match Hashtbl.find_opt g.sat_of n with
     | Some s -> s
@@ -205,50 +201,34 @@ let emit g ~false_lit ~fresh ~clause ~two_sided root =
         Hashtbl.add g.sat_of n s;
         s
   in
-  let rec emit_node n need =
-    let need = if two_sided then 3 else need in
+  let rec emit_node n =
     let o = sat_var n in
-    if n = 0 || not (is_and g n) then o
-    else begin
-      let have =
-        match Hashtbl.find_opt g.emitted n with Some m -> m | None -> 0
-      in
-      let missing = need land lnot have in
-      if missing <> 0 then begin
-        Hashtbl.replace g.emitted n (have lor need);
-        match ite_view g n with
-        | Some (c, d, e) ->
-            (* n = ite(c, d, e); the inner AND pair is skipped. *)
-            let lc = emit_lit 3 c in
-            let ld = emit_lit missing d and le = emit_lit missing e in
-            if missing land 1 <> 0 then begin
-              clause [ S.neg o; S.neg lc; ld ];
-              clause [ S.neg o; lc; le ];
-              (* Redundant but propagation-friendly. *)
-              clause [ S.neg o; ld; le ]
-            end;
-            if missing land 2 <> 0 then begin
-              clause [ o; S.neg lc; S.neg ld ];
-              clause [ o; lc; S.neg le ];
-              clause [ o; S.neg ld; S.neg le ]
-            end
-        | None ->
-            let la = emit_lit missing g.fan0.(n)
-            and lb = emit_lit missing g.fan1.(n) in
-            if missing land 1 <> 0 then begin
-              clause [ S.neg o; la ];
-              clause [ S.neg o; lb ]
-            end;
-            if missing land 2 <> 0 then
-              clause [ o; S.neg la; S.neg lb ]
-      end;
-      o
-    end
-  and emit_lit mask l =
-    let s = emit_node (node l) (mask_through (compl l) mask) in
+    if is_and g n && not (Hashtbl.mem g.emitted n) then begin
+      Hashtbl.replace g.emitted n ();
+      match ite_view g n with
+      | Some (c, d, e) ->
+          (* n = ite(c, d, e); the inner AND pair is skipped. *)
+          let lc = emit_lit c in
+          let ld = emit_lit d and le = emit_lit e in
+          clause [ S.neg o; S.neg lc; ld ];
+          clause [ S.neg o; lc; le ];
+          (* Redundant but propagation-friendly. *)
+          clause [ S.neg o; ld; le ];
+          clause [ o; S.neg lc; S.neg ld ];
+          clause [ o; lc; S.neg le ];
+          clause [ o; S.neg ld; S.neg le ]
+      | None ->
+          let la = emit_lit g.fan0.(n) and lb = emit_lit g.fan1.(n) in
+          clause [ S.neg o; la ];
+          clause [ S.neg o; lb ];
+          clause [ o; S.neg la; S.neg lb ]
+    end;
+    o
+  and emit_lit l =
+    let s = emit_node (node l) in
     if compl l = 1 then S.neg s else s
   in
-  emit_lit 1 root
+  emit_lit root
 
 (* --- AIGER ASCII export --- *)
 

@@ -2,8 +2,7 @@
     used as a simplification stage between [Lower] and CNF. Literals are
     [2·node + complement]; node 0 is constant false, so [false_ = 0] and
     [true_ = 1] (AIGER numbering). CNF is emitted from the reduced graph
-    cone by cone with per-node polarity masks, recognizing MUX/XOR shapes
-    as single gates. *)
+    cone by cone, recognizing MUX/XOR shapes as single gates. *)
 
 type lit = int
 type t
@@ -36,14 +35,10 @@ val emit :
   false_lit:Alive_sat.Solver.lit ->
   fresh:(unit -> Alive_sat.Solver.lit) ->
   clause:(Alive_sat.Solver.lit list -> unit) ->
-  two_sided:bool ->
   lit ->
   Alive_sat.Solver.lit
-(** Emit CNF for the cone of the given literal, incrementally: nodes
-    already emitted under a covering polarity are reused, one-sided nodes
-    are completed when the other direction is first needed. [two_sided]
-    forces the Tseitin (both-direction) encoding; otherwise the cone is
-    emitted Plaisted–Greenbaum style from the root's positive phase. *)
+(** Emit two-sided (Tseitin) CNF for the cone of the given literal,
+    incrementally: nodes already emitted by an earlier root are reused. *)
 
 val sat_lit_opt : t -> lit -> Alive_sat.Solver.lit option
 (** SAT literal of an emitted node, if its cone was ever emitted. *)

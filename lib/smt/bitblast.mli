@@ -1,16 +1,8 @@
-(** Bit-blasting of lowered terms into a CDCL SAT solver, using the
-    Plaisted–Greenbaum polarity-tracked CNF encoding: subformulas that occur
-    under only one polarity get half the Tseitin clauses (positive-only
-    occurrences keep the output→definition direction, negative-only the
-    converse); xor/iff children and ite conditions are two-sided, as are all
-    bit-level arithmetic circuits. The encoding preserves satisfiability per
-    asserted root, and CNF models restricted to the original variables are
-    models of the asserted formulas, so counterexamples are extracted exactly
-    as under full Tseitin.
+(** Bit-blasting of lowered terms into a CDCL SAT solver, using the Tseitin
+    CNF encoding: every gate gets its full two-sided definition.
 
-    A context owns a SAT solver and memoization tables keyed by term id (and
-    requested polarity), so shared subterms are encoded once per polarity
-    regime. Formulas are asserted incrementally; [check] may be called
+    A context owns a SAT solver and memoization tables keyed by term id, so
+    shared subterms are encoded once. Formulas are asserted incrementally; [check] may be called
     repeatedly, also under assumptions (used by the CEGAR loop and attribute
     inference).
 
@@ -19,21 +11,8 @@
 
 type t
 
-val create :
-  ?simplify:bool -> ?encoding:[ `Tseitin | `Plaisted_greenbaum ] -> unit -> t
-(** Both options default to the process-wide atomics ({!set_simplify},
-    {!set_encoding}); the per-context overrides exist so parallel racers
-    (the encoding portfolio, cube workers) can pick their own path without
-    touching global state. *)
-
-val set_encoding : [ `Tseitin | `Plaisted_greenbaum ] -> unit
-(** Select the CNF encoding for subsequent blasting (a process-wide atomic).
-    [`Plaisted_greenbaum] emits one-sided gate definitions for one-sided
-    subformulas — fewest clauses and variables; [`Tseitin] keeps every gate
-    two-sided — more clauses but stronger unit propagation. The default is
-    chosen by benchmark (see docs/PERFORMANCE.md). *)
-
-val encoding : unit -> [ `Tseitin | `Plaisted_greenbaum ]
+val create : ?simplify:bool -> unit -> t
+(** [simplify] defaults to the process-wide atomic ({!set_simplify}). *)
 
 val set_simplify : bool -> unit
 (** Process-wide default for AIG structural simplification: when on (the

@@ -51,6 +51,7 @@ type telemetry = {
   mutable store_hits : int;
   mutable store_misses : int;
   mutable static_proved : int;
+  (* Always 0 until the benchmark drops [smt.solve.cubes_*]. *)
   mutable cubes_spawned : int;
   mutable cubes_pruned : int;
   mutable aig_nodes_in : int;
@@ -100,8 +101,6 @@ let add_telemetry ~into (t : telemetry) =
   into.store_hits <- into.store_hits + t.store_hits;
   into.store_misses <- into.store_misses + t.store_misses;
   into.static_proved <- into.static_proved + t.static_proved;
-  into.cubes_spawned <- into.cubes_spawned + t.cubes_spawned;
-  into.cubes_pruned <- into.cubes_pruned + t.cubes_pruned;
   into.aig_nodes_in <- into.aig_nodes_in + t.aig_nodes_in;
   into.aig_nodes_out <- into.aig_nodes_out + t.aig_nodes_out
 
@@ -126,37 +125,8 @@ module Metrics = Alive_trace.Metrics
 
 (* Registered at module load so they export (at zero) from the first
    Prometheus scrape, before any hard query has fired. *)
-let cubes_spawned_c = Metrics.counter "solve.cubes_spawned"
-let cubes_pruned_c = Metrics.counter "solve.cubes_pruned"
 let aig_nodes_in_c = Metrics.counter "solve.aig_nodes_in"
 let aig_nodes_out_c = Metrics.counter "solve.aig_nodes_out"
-
-(* --- Cube-and-conquer switches --- *)
-
-let cube_flag = Atomic.make true
-let set_cubes b = Atomic.set cube_flag b
-let cubes_enabled () = Atomic.get cube_flag
-
-(* Conflicts a query may burn whole before it is split into cubes. *)
-let cube_threshold_a = Atomic.make 2000
-let set_cube_threshold n = Atomic.set cube_threshold_a (max 1 n)
-let cube_threshold () = Atomic.get cube_threshold_a
-
-(* High-order bits fixed per cube: 2^cube_bits cubes partition the split
-   variable's range. *)
-let cube_bits = 2
-
-(* Parallel fan-out hook. [None] (the default, and always the case on a
-   single-core pool): cubes are scanned sequentially as assumption sets on
-   the original context. Installed by the engine when its pool has real
-   parallelism: receives one thunk per cube (plus the whole-query
-   portfolio racer) and must run every thunk to completion before
-   returning. *)
-let cube_runner_a : ((unit -> unit) list -> unit) option Atomic.t =
-  Atomic.make None
-
-let set_cube_runner r = Atomic.set cube_runner_a r
-let cube_runner () = Atomic.get cube_runner_a
 
 (* --- Optional per-query dumps: DIMACS (--dump-cnf), AIGER (--dump-aig) --- *)
 
@@ -289,180 +259,19 @@ let extract_model ctx vars =
            (fun (name, sort) -> (name, Bitblast.model_value ctx name sort))
            vars))
 
-(* --- Cube-and-conquer ---
-
-   A query that still has no answer after [cube_threshold] conflicts is
-   split on the high-order bits of the variable [Lower.split_candidates]
-   ranks best (divisors first, then multiplier operands, then variable
-   shift amounts): the 2^cube_bits values of those bits partition the
-   search space, and each cube is solved as its own subproblem. Any Sat
-   cube answers the query Sat; all cubes Unsat answers Unsat — the join is
-   exact because the cubes are exhaustive and mutually exclusive.
-
-   Without a runner the cubes are scanned sequentially as assumption sets
-   on the original context, so clauses learnt refuting one cube prune its
-   siblings. With a runner installed (a pool with real parallelism) each
-   cube solves on a fresh context in its own task, raced against one
-   whole-query task that uses the Plaisted-Greenbaum encoding — the
-   portfolio leg: on one-sided-friendly queries the alternative encoding
-   often finishes before any cube. The first decisive task flips an atomic
-   flag; tasks that start after it are pruned. In parallel mode each task
-   gets its own copy of the remaining conflict allowance (wall clock stays
-   bounded by the shared absolute deadline), and per-task telemetry is
-   folded into the caller's sink single-threaded after the join. *)
-
-let fresh_telemetry = telemetry
-
+(* One context, one metered solve, one retire. *)
 let check_sat ?(budget = no_budget) ?telemetry formulas =
   let ctx = Bitblast.create () in
   List.iter (Bitblast.assert_formula ctx) formulas;
   let m = start_meter ?telemetry budget in
-  let qvars =
-    List.sort_uniq Stdlib.compare (List.concat_map Term.vars formulas)
-  in
-  let finish c = Sat (extract_model c qvars) in
-  let plain () =
+  let result =
     match metered_check m ctx with
     | `Unsat -> Unsat
     | `Unknown r -> Unknown r
-    | `Sat -> finish ctx
-  in
-  let note_spawned n =
-    Metrics.add cubes_spawned_c n;
-    match m.sink with
-    | Some t -> t.cubes_spawned <- t.cubes_spawned + n
-    | None -> ()
-  in
-  let note_pruned n =
-    if n > 0 then begin
-      Metrics.add cubes_pruned_c n;
-      match m.sink with
-      | Some t -> t.cubes_pruned <- t.cubes_pruned + n
-      | None -> ()
-    end
-  in
-  (* Sequential fallback: each cube is an assumption set on the original
-     context, sharing its learnt clauses. The meter keeps drawing down the
-     query's single conflict allowance across cubes. *)
-  let scan_cubes cubes =
-    note_spawned (List.length cubes);
-    let rec go = function
-      | [] -> Unsat
-      | cube :: rest -> (
-          match metered_check ~assumptions:[ cube ] m ctx with
-          | `Sat -> finish ctx
-          | `Unknown r -> Unknown r
-          | `Unsat -> go rest)
-    in
-    go cubes
-  in
-  (* Parallel fan-out: fresh context per cube, plus slot [n] solving the
-     whole query under the Plaisted-Greenbaum encoding. *)
-  let race_cubes run cubes =
-    let n = List.length cubes in
-    note_spawned n;
-    let slots = Array.make (n + 1) `Pending in
-    let locals = Array.init (n + 1) (fun _ -> fresh_telemetry ()) in
-    let won = Atomic.make false in
-    let shared_left = m.conflicts_left in
-    let task i ~cube ~encoding () =
-      if Atomic.get won then slots.(i) <- `Pruned
-      else begin
-        let c = Bitblast.create ?encoding () in
-        List.iter (Bitblast.assert_formula c) formulas;
-        (match cube with
-        | Some f -> Bitblast.assert_formula c f
-        | None -> ());
-        let mi =
-          { deadline = m.deadline;
-            conflicts_left = shared_left;
-            sink = Some locals.(i) }
-        in
-        let r =
-          match metered_check mi c with
-          | `Sat ->
-              Atomic.set won true;
-              `Sat (extract_model c qvars)
-          | `Unsat ->
-              (* A whole-query Unsat is decisive; a cube Unsat is not. *)
-              if cube = None then Atomic.set won true;
-              `Unsat
-          | `Unknown r -> `Unknown r
-        in
-        retire_ctx mi c;
-        slots.(i) <- r
-      end
-    in
-    let tasks =
-      List.mapi (fun i cube -> task i ~cube:(Some cube) ~encoding:None) cubes
-      @ [ task n ~cube:None ~encoding:(Some `Plaisted_greenbaum) ]
-    in
-    run tasks;
-    (match m.sink with
-    | Some t -> Array.iter (fun l -> add_telemetry ~into:t l) locals
-    | None -> ());
-    let pruned = ref 0 in
-    let sat = ref None in
-    let unknown = ref None in
-    let portfolio_unsat = ref false in
-    let cubes_unsat = ref 0 in
-    Array.iteri
-      (fun i s ->
-        match s with
-        | `Pruned -> incr pruned
-        | `Pending -> ()
-        | `Sat model -> if !sat = None then sat := Some model
-        | `Unsat -> if i = n then portfolio_unsat := true else incr cubes_unsat
-        | `Unknown r -> if i < n && !unknown = None then unknown := Some r)
-      slots;
-    note_pruned !pruned;
-    match !sat with
-    | Some model -> Sat model
-    | None ->
-        if !portfolio_unsat || !cubes_unsat = n then Unsat
-        else Unknown (Option.value ~default:Conflict_limit !unknown)
-  in
-  let cubed () =
-    match Lower.split_candidates formulas with
-    | [] -> plain () (* nothing worth splitting on: finish the query whole *)
-    | (name, w, _) :: _ -> (
-        let k = min cube_bits w in
-        let cubes =
-          List.init (1 lsl k) (fun i ->
-              Term.eq
-                (Term.extract ~hi:(w - 1) ~lo:(w - k)
-                   (Term.var name (Term.Bv w)))
-                (Term.const (Bitvec.of_int ~width:k i)))
-        in
-        match Atomic.get cube_runner_a with
-        | Some run -> race_cubes run cubes
-        | None -> scan_cubes cubes)
-  in
-  let threshold = cube_threshold () in
-  let result =
-    if
-      (not (cubes_enabled ()))
-      || (match m.conflicts_left with
-         | Some l -> l <= threshold
-         | None -> false)
-    then plain ()
-    else begin
-      (* Probe: spend at most [threshold] conflicts on the whole query
-         before deciding to split. The probe draws on the real allowance. *)
-      let real_left = m.conflicts_left in
-      m.conflicts_left <- Some threshold;
-      let probe = metered_check m ctx in
-      let probe_spent =
-        threshold - Option.value ~default:0 m.conflicts_left
-      in
-      m.conflicts_left <-
-        Option.map (fun l -> max 0 (l - probe_spent)) real_left;
-      match probe with
-      | `Sat -> finish ctx
-      | `Unsat -> Unsat
-      | `Unknown Conflict_limit -> cubed ()
-      | `Unknown r -> Unknown r
-    end
+    | `Sat ->
+        Sat
+          (extract_model ctx
+             (List.sort_uniq Stdlib.compare (List.concat_map Term.vars formulas)))
   in
   retire_ctx m ctx;
   result

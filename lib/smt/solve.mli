@@ -67,9 +67,9 @@ type telemetry = {
       (** verification conditions discharged by the tier-0 static prover
           (see [Alive_absint.Prover]) without reaching the SAT solver *)
   mutable cubes_spawned : int;
-      (** cube subproblems created by the cube-and-conquer splitter *)
+      (** always 0 until the benchmark drops [smt.solve.cubes_*] *)
   mutable cubes_pruned : int;
-      (** cube/portfolio tasks skipped because a sibling already won *)
+      (** always 0 until the benchmark drops [smt.solve.cubes_*] *)
   mutable aig_nodes_in : int;
       (** AND-gate requests made to the AIG layer, before rewriting *)
   mutable aig_nodes_out : int;
@@ -87,8 +87,9 @@ val add_telemetry : into:telemetry -> telemetry -> unit
 type answer = Sat of Model.t | Unsat | Unknown of reason
 
 val check_sat : ?budget:budget -> ?telemetry:telemetry -> Term.t list -> answer
-(** Satisfiability of a conjunction. On [Sat], the model binds every free
-    variable of the input. *)
+(** Satisfiability of a conjunction: one solver context, one solve under
+    the budget. On [Sat], the model binds every free variable of the
+    input. *)
 
 val is_valid :
   ?budget:budget ->
@@ -140,32 +141,3 @@ val set_dump_aig_dir : string option -> unit
     reduced AND-inverter graph to [DIR/qNNNNNN-RESULT.aag] in AIGER ASCII
     format. Shares the query sequence numbers with {!set_dump_dir}, so the
     [.cnf] and [.aag] for one solve carry the same number. *)
-
-val set_cubes : bool -> unit
-(** Toggle cube-and-conquer (default on): a query still unanswered after
-    {!cube_threshold} conflicts is split into [2^k] cubes on the
-    high-order bits of the variable that feeds the heaviest circuits
-    (divisors first), and the cubes are solved separately — sequentially
-    as assumption sets sharing learnt clauses, or as parallel tasks when a
-    runner is installed. The cube join is exact, so verdicts are
-    unchanged; only models may differ (the Sat cube that answers first
-    provides the witness). *)
-
-val cubes_enabled : unit -> bool
-
-val set_cube_threshold : int -> unit
-(** Conflicts a query may burn whole before being split (default 2000;
-    clamped to at least 1). Lower it to force the cube path in tests. *)
-
-val cube_threshold : unit -> int
-
-val set_cube_runner : ((unit -> unit) list -> unit) option -> unit
-(** Install the parallel fan-out hook. The runner receives one thunk per
-    cube plus one whole-query portfolio racer (Plaisted-Greenbaum
-    encoding) and must run every thunk to completion — possibly
-    concurrently — before returning. [None] (the default) selects the
-    sequential scan. The engine installs a pool-backed runner when it has
-    more than one worker. *)
-
-val cube_runner : unit -> ((unit -> unit) list -> unit) option
-(** The installed fan-out hook, for save/restore around tests. *)

@@ -298,5 +298,6 @@ let to_float = function
   | _ -> None
 
 let to_str = function String s -> Some s | _ -> None
+let to_bool = function Bool b -> Some b | _ -> None
 let to_list = function List l -> Some l | _ -> None
 let to_obj = function Obj fields -> Some fields | _ -> None

@@ -16,12 +16,14 @@ type record = {
   schema : int;
   timestamp : string;  (* ISO-8601 UTC *)
   git_rev : string;
+  dirty : bool;  (* uncommitted changes in the tree (schema >= 9) *)
   label : string;  (* e.g. "corpus_check", "bench.parallel" *)
   jobs : int;
   tasks : int;
   budget_timeout_s : float;  (* 0 = none *)
   budget_conflicts : int;  (* 0 = none *)
   wall_s : float;
+  cpu_s : float;  (* process user + sys seconds (schema >= 9; 0 before) *)
   sat_s : float;
   infer_s : float;  (* precondition-inference wall (schema >= 3; 0 before) *)
   queries : int;
@@ -39,8 +41,6 @@ type record = {
   log_lines : int;  (* telemetry fields (schema >= 6; 0/[] before) *)
   slow_queries : int;
   ops : op_stat list;  (* per-op daemon latency totals *)
-  cubes : int;  (* cube-and-conquer fields (schema >= 7; 0 before) *)
-  cubes_pruned : int;
   aig_nodes_in : int;  (* AIG simplifier gate counts (schema >= 7) *)
   aig_nodes_out : int;
   opt_firings : int;  (* optimizer fields (schema >= 8; 0 before) *)
@@ -48,11 +48,13 @@ type record = {
   opt_match_per_s : float;  (* compiled single-match throughput *)
   opt_match_linear_per_s : float;  (* per-rule-scan baseline throughput *)
   opt_top10_share : float;  (* firing share of the top ten rules (Fig. 9) *)
+  opt_gen_s : float;  (* workload generation seconds (schema >= 9) *)
+  opt_pass_s : float;  (* rewrite-pass seconds (schema >= 9) *)
   verdicts : (string * int) list;  (* verdict name -> count *)
   phases : phase_total list;
 }
 
-let schema_version = 8
+let schema_version = 9
 
 let iso8601 t =
   let tm = Unix.gmtime t in
@@ -74,6 +76,20 @@ let git_rev () =
         if line = "" then "unknown" else line
       with _ -> "unknown")
 
+(* Any output from [git status --porcelain] means the tree differs from
+   [git_rev]: the record then cannot be reproduced from that commit. *)
+let git_dirty () =
+  try
+    let ic = Unix.open_process_in "git status --porcelain 2>/dev/null" in
+    let out = In_channel.input_all ic in
+    ignore (Unix.close_process_in ic);
+    String.trim out <> ""
+  with _ -> false
+
+let cpu_time () =
+  let t = Unix.times () in
+  t.Unix.tms_utime +. t.Unix.tms_stime
+
 let phases_of_metrics () =
   List.filter_map
     (fun (h : Metrics.hist_snapshot) ->
@@ -83,25 +99,27 @@ let phases_of_metrics () =
     (Metrics.snapshot ()).histograms
 
 let make ~label ~jobs ~tasks ?(budget_timeout_s = 0.0) ?(budget_conflicts = 0)
-    ~wall_s ~sat_s ?(infer_s = 0.0) ~queries ~conflicts ~cegar_iterations
+    ~wall_s ?(cpu_s = cpu_time ()) ~sat_s ?(infer_s = 0.0) ~queries ~conflicts ~cegar_iterations
     ?(cache_hits = 0)
     ?(cache_misses = 0) ?(cache_evictions = 0) ?(peak_clauses = 0)
     ?(peak_vars = 0) ?(requests = 0) ?(store_hits = 0) ?(store_misses = 0)
     ?(static_proved = 0) ?(log_lines = 0) ?(slow_queries = 0) ?(ops = [])
-    ?(cubes = 0) ?(cubes_pruned = 0) ?(aig_nodes_in = 0) ?(aig_nodes_out = 0)
-    ?(opt_firings = 0) ?(opt_firings_per_s = 0.0) ?(opt_match_per_s = 0.0)
+    ?(aig_nodes_in = 0) ?(aig_nodes_out = 0) ?(opt_firings = 0)
+    ?(opt_firings_per_s = 0.0) ?(opt_match_per_s = 0.0)
     ?(opt_match_linear_per_s = 0.0) ?(opt_top10_share = 0.0)
-    ~verdicts ?(phases = phases_of_metrics ()) () =
+    ?(opt_gen_s = 0.0) ?(opt_pass_s = 0.0) ~verdicts ?(phases = phases_of_metrics ()) () =
   {
     schema = schema_version;
     timestamp = iso8601 (Unix.gettimeofday ());
     git_rev = git_rev ();
+    dirty = git_dirty ();
     label;
     jobs;
     tasks;
     budget_timeout_s;
     budget_conflicts;
     wall_s;
+    cpu_s;
     sat_s;
     infer_s;
     queries;
@@ -119,8 +137,6 @@ let make ~label ~jobs ~tasks ?(budget_timeout_s = 0.0) ?(budget_conflicts = 0)
     log_lines;
     slow_queries;
     ops;
-    cubes;
-    cubes_pruned;
     aig_nodes_in;
     aig_nodes_out;
     opt_firings;
@@ -128,6 +144,8 @@ let make ~label ~jobs ~tasks ?(budget_timeout_s = 0.0) ?(budget_conflicts = 0)
     opt_match_per_s;
     opt_match_linear_per_s;
     opt_top10_share;
+    opt_gen_s;
+    opt_pass_s;
     verdicts;
     phases;
   }
@@ -140,6 +158,7 @@ let to_json r =
       ("schema", Json.Int r.schema);
       ("timestamp", Json.String r.timestamp);
       ("git_rev", Json.String r.git_rev);
+      ("dirty", Json.Bool r.dirty);
       ("label", Json.String r.label);
       ("jobs", Json.Int r.jobs);
       ("tasks", Json.Int r.tasks);
@@ -150,6 +169,7 @@ let to_json r =
             ("conflict_limit", Json.Int r.budget_conflicts);
           ] );
       ("wall_s", Json.Float r.wall_s);
+      ("cpu_s", Json.Float r.cpu_s);
       ("sat_s", Json.Float r.sat_s);
       ("infer_s", Json.Float r.infer_s);
       ("queries", Json.Int r.queries);
@@ -186,12 +206,6 @@ let to_json r =
                      ("p99_s", Json.Float o.op_p99_s);
                    ] ))
              r.ops) );
-      ( "cubes",
-        Json.Obj
-          [
-            ("spawned", Json.Int r.cubes);
-            ("pruned", Json.Int r.cubes_pruned);
-          ] );
       ( "aig",
         Json.Obj
           [
@@ -206,6 +220,8 @@ let to_json r =
             ("match_per_s", Json.Float r.opt_match_per_s);
             ("match_linear_per_s", Json.Float r.opt_match_linear_per_s);
             ("top10_share", Json.Float r.opt_top10_share);
+            ("gen_s", Json.Float r.opt_gen_s);
+            ("pass_s", Json.Float r.opt_pass_s);
           ] );
       ("verdicts", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) r.verdicts));
       ( "phases",
@@ -263,6 +279,11 @@ let of_json j =
           schema = int "schema" 1;
           timestamp = str "timestamp" "";
           git_rev = str "git_rev" "unknown";
+          (* "dirty" and "cpu_s" are schema-9 keys; older records read back
+             as clean and zero. *)
+          dirty =
+            Option.value ~default:false
+              (Option.bind (Json.member "dirty" j) Json.to_bool);
           label = str "label" "";
           jobs = int "jobs" 1;
           tasks = int "tasks" 0;
@@ -273,6 +294,7 @@ let of_json j =
             Option.value ~default:0
               (Option.bind (Json.member "conflict_limit" budget) Json.to_int);
           wall_s = flt "wall_s" 0.0;
+          cpu_s = flt "cpu_s" 0.0;
           sat_s = flt "sat_s" 0.0;
           (* "infer_s" is a schema-3 key; older records read back as 0. *)
           infer_s = flt "infer_s" 0.0;
@@ -328,16 +350,9 @@ let of_json j =
                           (Option.bind (Json.member "p99_s" v) Json.to_float);
                     })
                   fields);
-          (* "cubes" and "aig" are schema-7 keys; older records read back
-             as zeros and the schema field flags them as not comparable. *)
-          cubes =
-            (let c = Option.value ~default:(Json.Obj []) (Json.member "cubes" j) in
-             Option.value ~default:0
-               (Option.bind (Json.member "spawned" c) Json.to_int));
-          cubes_pruned =
-            (let c = Option.value ~default:(Json.Obj []) (Json.member "cubes" j) in
-             Option.value ~default:0
-               (Option.bind (Json.member "pruned" c) Json.to_int));
+          (* "aig" is a schema-7 key; older records read back as zeros and
+             the schema field flags them as not comparable. Schema 7-8
+             records also carry a "cubes" object, which is ignored. *)
           aig_nodes_in =
             (let a = Option.value ~default:(Json.Obj []) (Json.member "aig" j) in
              Option.value ~default:0
@@ -368,6 +383,15 @@ let of_json j =
             (let o = Option.value ~default:(Json.Obj []) (Json.member "opt" j) in
              Option.value ~default:0.0
                (Option.bind (Json.member "top10_share" o) Json.to_float));
+          (* the opt time split is schema-9; older records read back 0. *)
+          opt_gen_s =
+            (let o = Option.value ~default:(Json.Obj []) (Json.member "opt" j) in
+             Option.value ~default:0.0
+               (Option.bind (Json.member "gen_s" o) Json.to_float));
+          opt_pass_s =
+            (let o = Option.value ~default:(Json.Obj []) (Json.member "opt" j) in
+             Option.value ~default:0.0
+               (Option.bind (Json.member "pass_s" o) Json.to_float));
           verdicts;
           phases;
         }
@@ -437,6 +461,20 @@ let schema_mismatch ~baseline ~latest =
           baseline with a schema-%d record for a full diff."
          baseline.schema latest.schema schema_version)
 
+let dirty_warning ~baseline ~latest =
+  match
+    List.filter_map
+      (fun (name, r) -> if r.dirty then Some name else None)
+      [ ("baseline", baseline); ("latest", latest) ]
+  with
+  | [] -> None
+  | names ->
+      Some
+        (Printf.sprintf
+           "%s record written from a dirty tree: its numbers may not \
+            reproduce from its git revision."
+           (String.concat " and " names))
+
 let pct_change base now =
   if base = 0.0 then if now = 0.0 then 0.0 else Float.infinity
   else (now -. base) /. base *. 100.0
@@ -459,13 +497,11 @@ let diff ?(threshold_pct = 15.0) ~baseline ~latest () =
      never compares a real value against a phantom zero. *)
   let shared = min baseline.schema latest.schema in
   let since v rows = if shared >= v then rows () else [] in
-  let gating =
-    [
-      gate "wall_s" baseline.wall_s latest.wall_s;
-      gate "conflicts" (float_of_int baseline.conflicts)
-        (float_of_int latest.conflicts);
-    ]
-    @ since 8 (fun () ->
+  let wall = gate "wall_s" baseline.wall_s latest.wall_s in
+  let other_gates =
+    gate "conflicts" (float_of_int baseline.conflicts)
+      (float_of_int latest.conflicts)
+    :: since 8 (fun () ->
           [
             gate_drop "opt_match_per_s" baseline.opt_match_per_s
               latest.opt_match_per_s;
@@ -524,11 +560,6 @@ let diff ?(threshold_pct = 15.0) ~baseline ~latest () =
                  latest.ops);
         since 7 (fun () ->
             [
-              info "cubes" (float_of_int baseline.cubes)
-                (float_of_int latest.cubes);
-              info "cubes_pruned"
-                (float_of_int baseline.cubes_pruned)
-                (float_of_int latest.cubes_pruned);
               info "aig_nodes_in"
                 (float_of_int baseline.aig_nodes_in)
                 (float_of_int latest.aig_nodes_in);
@@ -546,6 +577,11 @@ let diff ?(threshold_pct = 15.0) ~baseline ~latest () =
               info "opt_top10_share" baseline.opt_top10_share
                 latest.opt_top10_share;
             ]);
+        since 9 (fun () ->
+            [
+              info "opt_gen_s" baseline.opt_gen_s latest.opt_gen_s;
+              info "opt_pass_s" baseline.opt_pass_s latest.opt_pass_s;
+            ]);
         List.filter_map
           (fun p ->
             match
@@ -556,21 +592,26 @@ let diff ?(threshold_pct = 15.0) ~baseline ~latest () =
           latest.phases;
       ]
   in
-  let deltas = gating @ informational in
+  (* CPU seconds sit next to wall time, so hidden parallelism shows. *)
+  let cpu = since 9 (fun () -> [ info "cpu_s" baseline.cpu_s latest.cpu_s ]) in
+  let deltas = (wall :: cpu) @ other_gates @ informational in
+  (* Only gates ever set [regressed]. *)
   {
     baseline;
     latest;
     deltas;
-    regressions = List.filter (fun d -> d.regressed) gating;
+    regressions = List.filter (fun d -> d.regressed) deltas;
   }
 
 let render_diff ?(oc = stdout) d =
-  Printf.fprintf oc "baseline: %s  %s  (%s, %d tasks, %d jobs)\n"
-    d.baseline.git_rev d.baseline.timestamp d.baseline.label d.baseline.tasks
-    d.baseline.jobs;
-  Printf.fprintf oc "latest:   %s  %s  (%s, %d tasks, %d jobs)\n"
-    d.latest.git_rev d.latest.timestamp d.latest.label d.latest.tasks
-    d.latest.jobs;
+  let header name r =
+    Printf.fprintf oc "%-9s %s%s  %s  (%s, %d tasks, %d jobs)\n" name
+      r.git_rev
+      (if r.dirty then " (dirty)" else "")
+      r.timestamp r.label r.tasks r.jobs
+  in
+  header "baseline:" d.baseline;
+  header "latest:" d.latest;
   let metric_w =
     List.fold_left (fun w x -> max w (String.length x.metric)) 6 d.deltas
   in

@@ -20,12 +20,19 @@ type record = {
   schema : int;
   timestamp : string;  (** ISO-8601 UTC *)
   git_rev : string;
+  dirty : bool;
+      (** [git status --porcelain] was non-empty when the record was made,
+          so it may not reproduce from [git_rev] (schema >= 9; false when
+          reading older records) *)
   label : string;
   jobs : int;
   tasks : int;
   budget_timeout_s : float;  (** 0 = none *)
   budget_conflicts : int;  (** 0 = none *)
   wall_s : float;
+  cpu_s : float;
+      (** user + sys CPU seconds ({!cpu_time}) spent by the run, across
+          all domains (schema >= 9; zero when reading older records) *)
   sat_s : float;
   infer_s : float;
       (** wall time spent in precondition inference (schema >= 3; zero when
@@ -53,10 +60,6 @@ type record = {
           when reading older records) *)
   slow_queries : int;  (** requests past the slow-query threshold *)
   ops : op_stat list;  (** per-op daemon latencies (schema >= 6) *)
-  cubes : int;
-      (** cubes spawned by the cube-and-conquer splitter (schema >= 7;
-          zero when reading older records) *)
-  cubes_pruned : int;  (** cube tasks cancelled by an early winner *)
   aig_nodes_in : int;
       (** gate requests into the AIG simplifier, before structural
           hashing (schema >= 7) *)
@@ -71,6 +74,11 @@ type record = {
       (** per-rule-scan baseline throughput for the same matches *)
   opt_top10_share : float;
       (** fraction of firings from the ten most-fired rules (Fig. 9) *)
+  opt_gen_s : float;
+      (** seconds generating the optimizer workload, summed over batches
+          (schema >= 9; zero when reading older records) *)
+  opt_pass_s : float;
+      (** seconds in the rewrite pass, summed over batches (schema >= 9) *)
   verdicts : (string * int) list;
   phases : phase_total list;
 }
@@ -82,6 +90,10 @@ val git_rev : unit -> string
     [git rev-parse], else ["unknown"]. Also used by the service verdict
     store. *)
 
+val cpu_time : unit -> float
+(** User + sys CPU seconds of this process so far ([Unix.times]), summed
+    over all its domains. *)
+
 val iso8601 : float -> string
 (** Render a [Unix.gettimeofday]-style timestamp as ISO-8601 UTC. *)
 
@@ -92,6 +104,7 @@ val make :
   ?budget_timeout_s:float ->
   ?budget_conflicts:int ->
   wall_s:float ->
+  ?cpu_s:float ->
   sat_s:float ->
   ?infer_s:float ->
   queries:int ->
@@ -109,8 +122,6 @@ val make :
   ?log_lines:int ->
   ?slow_queries:int ->
   ?ops:op_stat list ->
-  ?cubes:int ->
-  ?cubes_pruned:int ->
   ?aig_nodes_in:int ->
   ?aig_nodes_out:int ->
   ?opt_firings:int ->
@@ -118,13 +129,17 @@ val make :
   ?opt_match_per_s:float ->
   ?opt_match_linear_per_s:float ->
   ?opt_top10_share:float ->
+  ?opt_gen_s:float ->
+  ?opt_pass_s:float ->
   verdicts:(string * int) list ->
   ?phases:phase_total list ->
   unit ->
   record
-(** Build a record stamped with the current UTC time and git revision
-    ([GITHUB_SHA] env, else [git rev-parse], else ["unknown"]). [phases]
-    defaults to the current {!Metrics} histogram totals. *)
+(** Build a record stamped with the current UTC time, git revision
+    ([GITHUB_SHA] env, else [git rev-parse], else ["unknown"]) and dirty
+    flag ([git status --porcelain] printed anything; false without git). [cpu_s] defaults to the process's {!cpu_time} so
+    far; pass the run's own delta when the process did other work.
+    [phases] defaults to the current {!Metrics} histogram totals. *)
 
 val to_json : record -> Json.t
 val of_json : Json.t -> (record, string) result
@@ -158,12 +173,17 @@ val schema_mismatch : baseline:record -> latest:record -> string option
     prefix — but callers should surface this as a warning so the missing
     rows are explained ([alive_cli perf diff] prints it to stderr). *)
 
+val dirty_warning : baseline:record -> latest:record -> string option
+(** [Some message] when either record was written from a dirty tree
+    ([alive_cli perf diff] prints it to stderr). *)
+
 val diff : ?threshold_pct:float -> baseline:record -> latest:record -> unit -> diff
 (** Gating metrics are wall time and SAT conflicts (growing more than
     [threshold_pct], default 15%, counts as a regression) plus — when both
     records are schema >= 8 — the optimizer's matcher and firing
     throughputs, which regress by {e dropping} more than the threshold
-    against a non-zero baseline. SAT time, query/CEGAR counts, per-op
+    against a non-zero baseline. CPU time (schema >= 9) is listed next to
+    wall time, informationally. SAT time, query/CEGAR counts, per-op
     latencies and per-phase totals are reported informationally —
     restricted to fields defined by {e both} records' schemas, so
     cross-schema diffs never compare against phantom zeros. *)

@@ -1,9 +1,9 @@
-(* Tests for the wide-width solve path: the AIG simplification pass, the
-   cube-and-conquer splitter, and the encoding portfolio. The pass and the
-   splitter are both meant to be invisible in verdicts — the differential
-   tests here run real corpus slices through both configurations and
+(* Tests for the wide-width solve path: the AIG simplification pass and the
+   one-context solve. The pass is meant to be invisible in verdicts — the
+   differential tests here run real corpus slices with it on and off and
    demand identical answers — while the QCheck properties pin down the
-   structural-hashing algebra the AIG layer relies on. Every test saves
+   structural-hashing algebra the AIG layer relies on, and the encoding
+   pin holds the CNF size of fixed corpus queries steady. Every test saves
    and restores the global switches it flips. *)
 
 module Solve = Alive_smt.Solve
@@ -29,35 +29,12 @@ let with_aig on f =
       Alive_smt.Vc_cache.clear ())
     f
 
-let with_cubes ~on ~threshold ?runner f =
-  let on_was = Solve.cubes_enabled () in
-  let thr_was = Solve.cube_threshold () in
-  let runner_was = Solve.cube_runner () in
-  Solve.set_cubes on;
-  Solve.set_cube_threshold threshold;
-  (match runner with Some _ -> Solve.set_cube_runner runner | None -> ());
-  Alive_smt.Vc_cache.clear ();
-  Fun.protect
-    ~finally:(fun () ->
-      Solve.set_cubes on_was;
-      Solve.set_cube_threshold thr_was;
-      Solve.set_cube_runner runner_was;
-      Alive_smt.Vc_cache.clear ())
-    f
-
 (* Fingerprint: verdict constructor, failing instruction/criterion, and
    unknown reason. Counterexample models are deliberately NOT compared:
    the AIG pass renumbers CNF variables, so the SAT solver may pick a
    different (equally genuine — Refine validates it against the concrete
    semantics) witness for the same Invalid verdict. *)
 let fingerprint v = Format.asprintf "%a" Refine.pp_verdict v
-
-(* Verdict-only fingerprint: the cube join is exact on verdicts, but a Sat
-   answer's witness may come from whichever cube answered, so cube
-   differentials must not compare models. *)
-let verdict_fingerprint = function
-  | Refine.Invalid _ -> "invalid"
-  | v -> Format.asprintf "%a" Refine.pp_verdict v
 
 let check_parity base off =
   List.iter2
@@ -246,86 +223,78 @@ let solver_soundness_props =
         | _ -> false);
   ]
 
-(* --- Cube-and-conquer differentials --- *)
+(* --- One context, one solve --- *)
 
-(* Slices with division/shift structure so [Lower.split_candidates] finds
-   something to split on; a threshold of 1 conflict forces the splitter on
-   every non-trivial query. *)
-let cube_slice () =
-  List.filter
-    (fun (e : Entry.t) ->
-      String.equal e.file "MulDivRem" || String.equal e.file "Shifts")
-    Alive_suite.Registry.all
+(* x·(y+z) = x·y + x·z: the multiplier circuits make plain CDCL search for
+   tens of thousands of conflicts at width 5. *)
+let distributivity w =
+  let v n = Term.var n (Term.Bv w) in
+  Term.not_
+    (Term.eq
+       (Term.bbin Term.Mul (v "x") (Term.bbin Term.Add (v "y") (v "z")))
+       (Term.bbin Term.Add
+          (Term.bbin Term.Mul (v "x") (v "y"))
+          (Term.bbin Term.Mul (v "x") (v "z"))))
 
-let run_slice_verdicts entries =
-  List.map
-    (fun (e : Entry.t) ->
-      let v = Refine.check ?widths:e.widths (Entry.parse e) in
-      (e.name, verdict_fingerprint v))
-    entries
+(* Solver calls, clauses and variables for one corpus entry at width 8,
+   static tier off so every query reaches the SAT solver. *)
+let encoding_counts ~aig name =
+  let e =
+    List.find (fun (e : Entry.t) -> e.name = name) Alive_suite.Registry.all
+  in
+  Alive_absint.Prover.set_enabled false;
+  Fun.protect
+    ~finally:(fun () -> Alive_absint.Prover.set_enabled true)
+    (fun () ->
+      with_aig aig (fun () ->
+          let t = (Refine.run ~widths:[ 8 ] (Entry.parse e)).stats.telemetry in
+          (t.Solve.checks, t.Solve.clauses, t.Solve.vars)))
 
-let inline_runner thunks = List.iter (fun t -> t ()) thunks
-
-let cube_tests =
+let solve_tests =
   [
-    Alcotest.test_case "cube join parity: sequential scan vs no cubes" `Slow
+    Alcotest.test_case "hard query: one check on one context" `Quick
       (fun () ->
-        let slice = cube_slice () in
-        check_bool "slice has enough entries" true (List.length slice >= 50);
-        let cubed =
-          with_cubes ~on:true ~threshold:1 (fun () ->
-              run_slice_verdicts slice)
-        in
-        let plain =
-          with_cubes ~on:false ~threshold:1 (fun () ->
-              run_slice_verdicts slice)
-        in
-        check_parity cubed plain);
-    Alcotest.test_case
-      "cube join parity: parallel runner + portfolio vs no cubes" `Slow
+        let t = Solve.telemetry () in
+        (match Solve.check_sat ~telemetry:t [ distributivity 5 ] with
+        | Solve.Unsat -> ()
+        | _ -> Alcotest.fail "distributivity should be UNSAT");
+        check_bool
+          (Printf.sprintf "needs more than 2000 conflicts (%d)" t.conflicts)
+          true (t.conflicts > 2000);
+        check_int "one solver call" 1 t.checks;
+        (* One retired context: its size is both the total and the peak. *)
+        check_int "one context" t.peak_clauses t.clauses);
+    Alcotest.test_case "encoding pin: CNF size of fixed corpus queries" `Quick
       (fun () ->
-        (* Installing an inline runner takes the [race_cubes] path — fresh
-           contexts per cube plus the whole-query Plaisted-Greenbaum
-           portfolio racer — even on a single-core host. *)
-        let slice = cube_slice () in
-        let raced =
-          with_cubes ~on:true ~threshold:1 ~runner:inline_runner
-            (fun () -> run_slice_verdicts slice)
+        (* (checks, clauses, vars) per entry at width 8, AIG on then off. A
+           deliberate encoding change must update these numbers. *)
+        let expected =
+          [
+            ("MulDivRem:udiv-self", (2, 1850, 530), (2, 1900, 426));
+            ("MulDivRem:urem-pow2-is-and", (2, 2178, 620), (2, 2226, 508));
+            ("LoadStoreAlloca:dead-store", (1, 514, 223), (1, 382, 157));
+            ( "LoadStoreAlloca:disjoint-alloca-stores",
+              (3, 5745, 1922),
+              (3, 5333, 1447) );
+            ( "LoadStoreAlloca:bad-forward-across-store",
+              (2, 565, 249),
+              (2, 371, 152) );
+          ]
         in
-        let plain =
-          with_cubes ~on:false ~threshold:1 (fun () ->
-              run_slice_verdicts slice)
-        in
-        check_parity raced plain);
-    Alcotest.test_case "forced threshold actually spawns cubes" `Quick
-      (fun () ->
-        (* A variable-divisor query exceeds one conflict immediately; the
-           splitter must fire and record it in telemetry. *)
-        let t =
-          parse "%r = udiv %x, %x\n=>\n%r = 1\n"
-        in
-        Alive_absint.Prover.set_enabled false;
-        Fun.protect
-          ~finally:(fun () -> Alive_absint.Prover.set_enabled true)
-          (fun () ->
-            with_cubes ~on:true ~threshold:1 (fun () ->
-                let r = Refine.run ~widths:[ 8 ] t in
-                check_bool "still valid" true
-                  (match r.verdict with Refine.Valid _ -> true | _ -> false);
-                check_bool "cubes were spawned" true
-                  (r.stats.Refine.telemetry.Solve.cubes_spawned > 0))));
-    Alcotest.test_case "telemetry folds cube and AIG counters" `Quick
-      (fun () ->
+        let show (a, b, c) = Printf.sprintf "(%d, %d, %d)" a b c in
+        List.iter
+          (fun (name, on, off) ->
+            check_string (name ^ " AIG on") (show on)
+              (show (encoding_counts ~aig:true name));
+            check_string (name ^ " AIG off") (show off)
+              (show (encoding_counts ~aig:false name)))
+          expected);
+    Alcotest.test_case "telemetry folds AIG counters" `Quick (fun () ->
         let a = Solve.telemetry () and b = Solve.telemetry () in
-        a.Solve.cubes_spawned <- 3;
-        a.Solve.cubes_pruned <- 1;
         a.Solve.aig_nodes_in <- 100;
         a.Solve.aig_nodes_out <- 40;
-        b.Solve.cubes_spawned <- 2;
         b.Solve.aig_nodes_in <- 10;
         Solve.add_telemetry ~into:b a;
-        check_int "cubes_spawned sums" 5 b.Solve.cubes_spawned;
-        check_int "cubes_pruned sums" 1 b.Solve.cubes_pruned;
         check_int "aig_nodes_in sums" 110 b.Solve.aig_nodes_in;
         check_int "aig_nodes_out sums" 40 b.Solve.aig_nodes_out);
   ]
@@ -389,4 +358,4 @@ let suite =
     aig_differential_tests
     @ List.map QCheck_alcotest.to_alcotest
         (strash_props @ solver_soundness_props)
-    @ cube_tests @ dump_tests )
+    @ solve_tests @ dump_tests )

@@ -406,7 +406,31 @@ let ledger_tests =
             check_int "tasks" r.tasks r'.tasks;
             check_bool "wall" true (Float.abs (r.wall_s -. r'.wall_s) < 1e-9);
             check_bool "verdicts" true (r.verdicts = r'.verdicts);
-            check_bool "phases" true (r.phases = r'.phases));
+            check_bool "phases" true (r.phases = r'.phases);
+            (* JSON floats keep six significant digits. *)
+            check_bool "cpu" true
+              (Float.abs (r.cpu_s -. r'.cpu_s) <= 1e-5 *. Float.max 1.0 r.cpu_s);
+            check_bool "dirty" r.dirty r'.dirty);
+    Alcotest.test_case "cpu_s sits next to wall_s; dirty records warn" `Quick
+      (fun () ->
+        let clean = { (sample_record ()) with Ledger.dirty = false } in
+        let dirty = { clean with Ledger.dirty = true } in
+        let d = Ledger.diff ~baseline:clean ~latest:clean () in
+        check_string "first row" "wall_s" (List.nth d.deltas 0).metric;
+        check_string "second row" "cpu_s" (List.nth d.deltas 1).metric;
+        check_bool "cpu_s never gates" true
+          (List.for_all
+             (fun (dl : Ledger.delta) -> dl.metric <> "cpu_s")
+             (Ledger.diff ~baseline:clean
+                ~latest:{ clean with Ledger.cpu_s = clean.cpu_s *. 10.0 +. 1.0 }
+                ())
+               .regressions);
+        check_bool "clean pair: no warning" true
+          (Ledger.dirty_warning ~baseline:clean ~latest:clean = None);
+        check_bool "dirty baseline warns" true
+          (Ledger.dirty_warning ~baseline:dirty ~latest:clean <> None);
+        check_bool "dirty latest warns" true
+          (Ledger.dirty_warning ~baseline:clean ~latest:dirty <> None));
     Alcotest.test_case "append/load keeps order" `Quick (fun () ->
         let path = Filename.temp_file "ledger" ".jsonl" in
         Fun.protect
@@ -651,37 +675,50 @@ let telemetry_tests =
                 { Ledger.op = "verify"; op_count = 9; op_total_s = 0.9;
                   op_p99_s = 0.3 };
               ]
-            ~cubes:4 ~cubes_pruned:1 ~aig_nodes_in:500 ~aig_nodes_out:200
+            ~aig_nodes_in:500 ~aig_nodes_out:200 ~opt_gen_s:0.2 ~opt_pass_s:0.7
             ~verdicts:[ ("valid", 10) ] ()
         in
-        (* A baseline written by the previous schema: strip the new fields
-           and decrement the version, as an old ledger line would read. *)
+        (* A baseline written by the previous schema: strip the new fields,
+           add the cube counters schema 8 still carried, and decrement the
+           version, as an old ledger line would read. *)
         let old_json =
           match Ledger.to_json latest with
           | Json.Obj fields ->
               Json.Obj
-                (List.filter_map
-                   (fun (k, v) ->
-                     match k with
-                     | "schema" -> Some (k, Json.Int (Ledger.schema_version - 1))
-                     | "opt" -> None
-                     | _ -> Some (k, v))
-                   fields)
+                (("cubes", Json.Obj [ ("spawned", Json.Int 4); ("pruned", Json.Int 1) ])
+                :: List.filter_map
+                     (fun (k, v) ->
+                       match (k, v) with
+                       | "schema", _ ->
+                           Some (k, Json.Int (Ledger.schema_version - 1))
+                       | ("cpu_s" | "dirty"), _ -> None
+                       | "opt", Json.Obj o ->
+                           Some
+                             ( k,
+                               Json.Obj
+                                 (List.filter
+                                    (fun (k, _) -> k <> "gen_s" && k <> "pass_s")
+                                    o) )
+                       | _ -> Some (k, v))
+                     fields)
           | _ -> Alcotest.fail "record JSON shape"
         in
         let baseline = Result.get_ok (Ledger.of_json old_json) in
         check_bool "mismatch detected" true
           (Ledger.schema_mismatch ~baseline ~latest <> None);
+        check_bool "old record reads back clean" false baseline.dirty;
         let d = Ledger.diff ~baseline ~latest () in
-        check_bool "no schema-8 rows against a schema-7 baseline" true
+        check_bool "no schema-9 rows against a schema-8 baseline" true
           (not
              (List.exists
                 (fun (dl : Ledger.delta) ->
-                  dl.metric = "opt_firings" || dl.metric = "opt_firings_per_s"
-                  || dl.metric = "opt_match_per_s"
-                  || dl.metric = "opt_match_linear_per_s"
-                  || dl.metric = "opt_top10_share")
+                  dl.metric = "cpu_s" || dl.metric = "opt_gen_s"
+                  || dl.metric = "opt_pass_s")
                 d.deltas));
+        check_bool "schema-8 rows still diffed" true
+          (List.exists
+             (fun (dl : Ledger.delta) -> dl.metric = "opt_firings")
+             d.deltas);
         check_bool "gating metrics still diffed" true
           (List.exists (fun (dl : Ledger.delta) -> dl.metric = "wall_s")
              d.deltas);
@@ -697,12 +734,14 @@ let telemetry_tests =
           (List.exists
              (fun (dl : Ledger.delta) -> dl.metric = "log_lines")
              d8.deltas);
-        check_bool "same-schema pair has cube and AIG rows" true
-          (List.exists (fun (dl : Ledger.delta) -> dl.metric = "cubes")
-             d8.deltas
-          && List.exists
-               (fun (dl : Ledger.delta) -> dl.metric = "aig_nodes_out")
-               d8.deltas);
+        check_bool "same-schema pair has AIG rows" true
+          (List.exists
+             (fun (dl : Ledger.delta) -> dl.metric = "aig_nodes_out")
+             d8.deltas);
+        check_bool "same-schema pair has the opt time split" true
+          (List.exists
+             (fun (dl : Ledger.delta) -> dl.metric = "opt_pass_s")
+             d8.deltas);
         check_bool "same-schema pair has optimizer rows" true
           (List.exists
              (fun (dl : Ledger.delta) -> dl.metric = "opt_firings")
