@@ -41,6 +41,16 @@ let urem_lowered a b =
   let _, r = udivrem_circuit a b in
   ite (is_zero b) a r
 
+(* |t| as an unsigned pattern. |0 - y| = |y| for every y (0 and INT_MIN
+   included), so a negated operand shares its divider with the plain one:
+   [srem x (0-y)] and [srem x y] hash-cons to one [udivrem_circuit]. *)
+let rec magnitude t =
+  match t.node with
+  | Bbin (Sub, { node = BvConst z; _ }, y) when Bitvec.is_zero z -> magnitude y
+  | _ ->
+      let w = width t in
+      ite (eq (extract ~hi:(w - 1) ~lo:(w - 1) t) (one 1)) (bneg t) t
+
 (* Signed division via magnitudes: SMT-LIB bvsdiv/bvsrem semantics, including
    INT_MIN / -1 wrap (which magnitude arithmetic reproduces exactly at width
    w because |INT_MIN| = INT_MIN as an unsigned pattern). *)
@@ -48,18 +58,15 @@ let sdiv_lowered a b =
   let w = width a in
   let sign t = extract ~hi:(w - 1) ~lo:(w - 1) t in
   let neg_a = eq (sign a) (one 1) and neg_b = eq (sign b) (one 1) in
-  let abs t s = ite s (bneg t) t in
-  let q, _ = udivrem_circuit (abs a neg_a) (abs b neg_b) in
+  let q, _ = udivrem_circuit (magnitude a) (magnitude b) in
   let q = ite (xor_bool neg_a neg_b) (bneg q) q in
   (* Division by zero: 1 if the dividend is negative, else all-ones. *)
   ite (is_zero b) (ite neg_a (one w) (all_ones w)) q
 
 let srem_lowered a b =
   let w = width a in
-  let sign t = extract ~hi:(w - 1) ~lo:(w - 1) t in
-  let neg_a = eq (sign a) (one 1) and neg_b = eq (sign b) (one 1) in
-  let abs t s = ite s (bneg t) t in
-  let _, r = udivrem_circuit (abs a neg_a) (abs b neg_b) in
+  let neg_a = eq (extract ~hi:(w - 1) ~lo:(w - 1) a) (one 1) in
+  let _, r = udivrem_circuit (magnitude a) (magnitude b) in
   let r = ite neg_a (bneg r) r in
   ite (is_zero b) a r
 
