@@ -1,8 +1,18 @@
-(** A CDCL SAT solver in the MiniSat lineage: two-watched-literal propagation,
-    first-UIP conflict analysis with clause learning, VSIDS decision heuristic
-    with phase saving, Luby restarts, and activity-based learnt-clause
-    deletion. Supports incremental solving under assumptions, which the SMT
-    layer uses for CEGAR refinement and attribute inference. *)
+(** A CDCL SAT solver in the MiniSat lineage: two-watched-literal propagation
+    with blocker literals, first-UIP conflict analysis with clause learning
+    and minimization, VSIDS decision heuristic with phase saving, Luby
+    restarts, and activity-based learnt-clause deletion. Supports
+    incremental solving under assumptions, which the SMT layer uses for
+    CEGAR refinement and attribute inference.
+
+    Clauses live in one flat [int array] arena (a [len; flags; serial]
+    header, then the literals), and watch lists, reasons and the clause
+    databases name clauses by arena offset, so propagation stores no
+    pointers. Learnt-clause deletion marks clauses dead; once dead clauses
+    hold more than half the arena it is compacted in place (live clauses
+    slide down in order and every reference is relocated). The layout does
+    not steer the search: literal order, watch order and the deletion order
+    are those of a solver with one heap record per clause. *)
 
 type t
 
@@ -66,6 +76,7 @@ type stats = {
   clauses : int;  (** problem clauses currently held *)
   learnts : int;  (** learnt clauses currently held *)
   vars : int;
+  compactions : int;  (** clause-arena compactions *)
 }
 (** Solver telemetry. Counters are cumulative since creation; clause and
     variable counts are the current sizes. *)

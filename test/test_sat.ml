@@ -255,4 +255,108 @@ let random_assumption_test =
          in
          Bool.equal with_assumptions reference))
 
-let suite = ("sat", unit_tests @ [ random_3sat_test; random_assumption_test ])
+(* --- Clause arena compaction --- *)
+
+(* Seeded random 3-SAT over [nvars] variables with a planted solution: a
+   clause that the hidden assignment falsifies is redrawn, so the instance
+   is satisfiable and the solver must say so. *)
+let planted_3sat ~seed ~nvars ~nclauses =
+  let st = Random.State.make [| seed |] in
+  let hidden = Array.init nvars (fun _ -> Random.State.bool st) in
+  let rec clause () =
+    let c =
+      List.init 3 (fun _ ->
+          (Random.State.int st nvars, Random.State.bool st))
+    in
+    if List.exists (fun (v, sign) -> hidden.(v) = sign) c then c else clause ()
+  in
+  List.init nclauses (fun _ -> clause ())
+
+let load s vars clauses =
+  List.iter
+    (fun c ->
+      S.add_clause s (List.map (fun (x, sign) -> S.mk_lit vars.(x) sign) c))
+    clauses
+
+let satisfies s vars clauses =
+  List.for_all
+    (List.exists (fun (x, sign) -> S.value s (S.mk_lit vars.(x) sign)))
+    clauses
+
+(* Verdict of [clauses] plus unit [extra] on a fresh solver: the reference
+   for a solver whose arena has been compacted under it. *)
+let fresh_verdict nvars clauses extra =
+  let s = S.create () in
+  let vars = Array.of_list (fresh_vars s nvars) in
+  load s vars (clauses @ List.map (fun l -> [ l ]) extra);
+  let sat = S.solve s in
+  if sat then
+    Alcotest.(check bool) "fresh model" true (satisfies s vars clauses);
+  sat
+
+let compaction_tests =
+  [
+    Alcotest.test_case "arena: a seeded instance compacts three times" `Quick
+      (fun () ->
+        let nvars = 250 in
+        let clauses = planted_3sat ~seed:3 ~nvars ~nclauses:1075 in
+        let s = S.create () in
+        let vars = Array.of_list (fresh_vars s nvars) in
+        load s vars clauses;
+        check_bool "planted instance is sat" true (S.solve s);
+        check_bool "model satisfies every clause" true
+          (satisfies s vars clauses);
+        let st = S.stats s in
+        check_bool
+          (Printf.sprintf "at least 3 compactions (%d)" st.compactions)
+          true (st.compactions >= 3));
+    Alcotest.test_case "arena: add_clause and assumptions across compactions"
+      `Quick (fun () ->
+        let nvars = 250 in
+        let clauses = ref (planted_3sat ~seed:1 ~nvars ~nclauses:1075) in
+        let s = S.create () in
+        let vars = Array.of_list (fresh_vars s nvars) in
+        load s vars !clauses;
+        check_bool "sat" true (S.solve s);
+        let first = (S.stats s).compactions in
+        check_bool "compacted before the incremental phase" true (first >= 1);
+        let st = Random.State.make [| 42 |] in
+        for round = 1 to 6 do
+          let assumptions =
+            (* Alternate short (mostly sat) and long (mostly unsat) sets. *)
+            List.init (if round mod 2 = 0 then 2 else 12) (fun _ ->
+                (Random.State.int st nvars, Random.State.bool st))
+          in
+          let lits =
+            List.map (fun (x, sign) -> S.mk_lit vars.(x) sign) assumptions
+          in
+          let sat = S.solve ~assumptions:lits s in
+          let name = Printf.sprintf "round %d" round in
+          check_bool (name ^ ": verdict under assumptions")
+            (fresh_verdict nvars !clauses assumptions)
+            sat;
+          if sat then begin
+            check_bool (name ^ ": model") true (satisfies s vars !clauses);
+            check_bool (name ^ ": assumptions hold") true
+              (List.for_all (fun l -> S.value s l) lits);
+            (* Block this model on the first 12 variables. *)
+            let block =
+              List.init 12 (fun x ->
+                  (x, not (S.value s (S.mk_lit vars.(x) true))))
+            in
+            clauses := block :: !clauses;
+            load s vars [ block ]
+          end;
+          let sat = S.solve s in
+          check_bool (name ^ ": verdict") (fresh_verdict nvars !clauses []) sat;
+          if sat then
+            check_bool (name ^ ": model") true (satisfies s vars !clauses)
+        done;
+        check_bool "compacted again during the incremental phase" true
+          ((S.stats s).compactions > first));
+  ]
+
+let suite =
+  ( "sat",
+    unit_tests @ compaction_tests @ [ random_3sat_test; random_assumption_test ]
+  )
