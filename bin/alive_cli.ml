@@ -927,6 +927,7 @@ let perf_diff_cmd =
               [
                 Ledger.schema_mismatch ~baseline:base ~latest;
                 Ledger.dirty_warning ~baseline:base ~latest;
+                Ledger.host_mismatch ~baseline:base ~latest;
               ];
             let d =
               Ledger.diff ~threshold_pct:threshold ~baseline:base ~latest ()

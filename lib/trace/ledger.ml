@@ -12,11 +12,14 @@ type phase_total = { phase : string; count : int; total_s : float }
 
 type op_stat = { op : string; op_count : int; op_total_s : float; op_p99_s : float }
 
+type host = { nproc : int; cpu_model : string; ocaml_version : string }
+
 type record = {
   schema : int;
   timestamp : string;  (* ISO-8601 UTC *)
   git_rev : string;
   dirty : bool;  (* uncommitted changes in the tree (schema >= 9) *)
+  host : host;  (* where the run happened (schema >= 10) *)
   label : string;  (* e.g. "corpus_check", "bench.parallel" *)
   jobs : int;
   tasks : int;
@@ -54,7 +57,7 @@ type record = {
   phases : phase_total list;
 }
 
-let schema_version = 9
+let schema_version = 10
 
 let iso8601 t =
   let tm = Unix.gmtime t in
@@ -86,6 +89,32 @@ let git_dirty () =
     String.trim out <> ""
   with _ -> false
 
+(* Older records carry no host; [nproc = 0] marks it unknown. *)
+let unknown_host = { nproc = 0; cpu_model = ""; ocaml_version = "" }
+
+let cpu_model () =
+  try
+    In_channel.with_open_text "/proc/cpuinfo" In_channel.input_lines
+    |> List.find_map (fun line ->
+           match String.index_opt line ':' with
+           | Some i when String.trim (String.sub line 0 i) = "model name" ->
+               Some
+                 (String.trim
+                    (String.sub line (i + 1) (String.length line - i - 1)))
+           | _ -> None)
+    |> Option.value ~default:"unknown"
+  with Sys_error _ -> "unknown"
+
+let this_host =
+  lazy
+    {
+      nproc = Domain.recommended_domain_count ();
+      cpu_model = cpu_model ();
+      ocaml_version = Sys.ocaml_version;
+    }
+
+let host () = Lazy.force this_host
+
 let cpu_time () =
   let t = Unix.times () in
   t.Unix.tms_utime +. t.Unix.tms_stime
@@ -113,6 +142,7 @@ let make ~label ~jobs ~tasks ?(budget_timeout_s = 0.0) ?(budget_conflicts = 0)
     timestamp = iso8601 (Unix.gettimeofday ());
     git_rev = git_rev ();
     dirty = git_dirty ();
+    host = host ();
     label;
     jobs;
     tasks;
@@ -159,6 +189,13 @@ let to_json r =
       ("timestamp", Json.String r.timestamp);
       ("git_rev", Json.String r.git_rev);
       ("dirty", Json.Bool r.dirty);
+      ( "host",
+        Json.Obj
+          [
+            ("nproc", Json.Int r.host.nproc);
+            ("cpu_model", Json.String r.host.cpu_model);
+            ("ocaml_version", Json.String r.host.ocaml_version);
+          ] );
       ("label", Json.String r.label);
       ("jobs", Json.Int r.jobs);
       ("tasks", Json.Int r.tasks);
@@ -284,6 +321,19 @@ let of_json j =
           dirty =
             Option.value ~default:false
               (Option.bind (Json.member "dirty" j) Json.to_bool);
+          (* "host" is a schema-10 key; older records read back unknown. *)
+          host =
+            (match Json.member "host" j with
+            | None -> unknown_host
+            | Some h ->
+                let field k f d =
+                  Option.value ~default:d (Option.bind (Json.member k h) f)
+                in
+                {
+                  nproc = field "nproc" Json.to_int 0;
+                  cpu_model = field "cpu_model" Json.to_str "";
+                  ocaml_version = field "ocaml_version" Json.to_str "";
+                });
           label = str "label" "";
           jobs = int "jobs" 1;
           tasks = int "tasks" 0;
@@ -474,6 +524,23 @@ let dirty_warning ~baseline ~latest =
            "%s record written from a dirty tree: its numbers may not \
             reproduce from its git revision."
            (String.concat " and " names))
+
+let pp_host h =
+  Printf.sprintf "%d x %s, OCaml %s" h.nproc h.cpu_model h.ocaml_version
+
+(* Informational only: a record pair from two hosts still diffs, but its
+   wall and CPU rows compare machines as much as code. *)
+let host_mismatch ~baseline ~latest =
+  if
+    baseline.host.nproc = 0 || latest.host.nproc = 0
+    || baseline.host = latest.host
+  then None
+  else
+    Some
+      (Printf.sprintf
+         "host mismatch: baseline ran on %s, latest on %s; wall and CPU \
+          times compare the hosts as well as the code."
+         (pp_host baseline.host) (pp_host latest.host))
 
 let pct_change base now =
   if base = 0.0 then if now = 0.0 then 0.0 else Float.infinity

@@ -16,6 +16,14 @@ type op_stat = {
 }
 (** Per-op daemon latency totals (schema >= 6). *)
 
+type host = {
+  nproc : int;  (** [Domain.recommended_domain_count ()] *)
+  cpu_model : string;  (** first "model name" of /proc/cpuinfo, or "unknown" *)
+  ocaml_version : string;
+}
+(** Where a record was measured (schema >= 10). Records of older schemas
+    read back with [nproc = 0] and empty strings: host unknown. *)
+
 type record = {
   schema : int;
   timestamp : string;  (** ISO-8601 UTC *)
@@ -24,6 +32,7 @@ type record = {
       (** [git status --porcelain] was non-empty when the record was made,
           so it may not reproduce from [git_rev] (schema >= 9; false when
           reading older records) *)
+  host : host;
   label : string;
   jobs : int;
   tasks : int;
@@ -90,6 +99,9 @@ val git_rev : unit -> string
     [git rev-parse], else ["unknown"]. Also used by the service verdict
     store. *)
 
+val host : unit -> host
+(** This process's host, as {!make} stamps it. *)
+
 val cpu_time : unit -> float
 (** User + sys CPU seconds of this process so far ([Unix.times]), summed
     over all its domains. *)
@@ -136,8 +148,9 @@ val make :
   unit ->
   record
 (** Build a record stamped with the current UTC time, git revision
-    ([GITHUB_SHA] env, else [git rev-parse], else ["unknown"]) and dirty
-    flag ([git status --porcelain] printed anything; false without git). [cpu_s] defaults to the process's {!cpu_time} so
+    ([GITHUB_SHA] env, else [git rev-parse], else ["unknown"]), dirty
+    flag ([git status --porcelain] printed anything; false without git) and
+    {!host}. [cpu_s] defaults to the process's {!cpu_time} so
     far; pass the run's own delta when the process did other work.
     [phases] defaults to the current {!Metrics} histogram totals. *)
 
@@ -176,6 +189,10 @@ val schema_mismatch : baseline:record -> latest:record -> string option
 val dirty_warning : baseline:record -> latest:record -> string option
 (** [Some message] when either record was written from a dirty tree
     ([alive_cli perf diff] prints it to stderr). *)
+
+val host_mismatch : baseline:record -> latest:record -> string option
+(** [Some message] when both records name their host and the hosts differ
+    ([alive_cli perf diff] prints it to stderr; it never gates). *)
 
 val diff : ?threshold_pct:float -> baseline:record -> latest:record -> unit -> diff
 (** Gating metrics are wall time and SAT conflicts (growing more than

@@ -431,6 +431,49 @@ let ledger_tests =
           (Ledger.dirty_warning ~baseline:dirty ~latest:clean <> None);
         check_bool "dirty latest warns" true
           (Ledger.dirty_warning ~baseline:clean ~latest:dirty <> None));
+    Alcotest.test_case "host fingerprint round-trips; schema 9 reads back"
+      `Quick (fun () ->
+        let r = sample_record () in
+        check_int "schema" 10 r.schema;
+        check_bool "stamped with this host" true (r.host = Ledger.host ());
+        check_bool "nproc known" true (r.host.nproc >= 1);
+        check_string "ocaml version" Sys.ocaml_version r.host.ocaml_version;
+        let r' =
+          Result.get_ok
+            (Ledger.of_json (parse_ok (Json.to_string (Ledger.to_json r))))
+        in
+        check_bool "host round-trips" true (r'.host = r.host);
+        check_bool "same host: no warning" true
+          (Ledger.host_mismatch ~baseline:r ~latest:r' = None);
+        let other =
+          { r with Ledger.host = { r.host with nproc = r.host.nproc + 1 } }
+        in
+        check_bool "different host: warning" true
+          (Ledger.host_mismatch ~baseline:other ~latest:r <> None);
+        check_bool "a host mismatch never gates" true
+          ((Ledger.diff ~baseline:other ~latest:r ()).regressions = []);
+        (* A schema-9 line: no "host" key. *)
+        let v9 =
+          match Ledger.to_json r with
+          | Json.Obj fields ->
+              Json.Obj
+                (List.filter_map
+                   (fun (k, v) ->
+                     match k with
+                     | "host" -> None
+                     | "schema" -> Some (k, Json.Int 9)
+                     | _ -> Some (k, v))
+                   fields)
+          | _ -> Alcotest.fail "record JSON shape"
+        in
+        let old = Result.get_ok (Ledger.of_json v9) in
+        check_int "schema 9 kept" 9 old.schema;
+        check_int "unknown host" 0 old.host.nproc;
+        check_string "label survives" r.label old.label;
+        check_bool "no host warning against an unknown host" true
+          (Ledger.host_mismatch ~baseline:old ~latest:r = None);
+        check_bool "schema warning instead" true
+          (Ledger.schema_mismatch ~baseline:old ~latest:r <> None));
     Alcotest.test_case "append/load keeps order" `Quick (fun () ->
         let path = Filename.temp_file "ledger" ".jsonl" in
         Fun.protect
@@ -678,9 +721,9 @@ let telemetry_tests =
             ~aig_nodes_in:500 ~aig_nodes_out:200 ~opt_gen_s:0.2 ~opt_pass_s:0.7
             ~verdicts:[ ("valid", 10) ] ()
         in
-        (* A baseline written by the previous schema: strip the new fields,
-           add the cube counters schema 8 still carried, and decrement the
-           version, as an old ledger line would read. *)
+        (* A baseline written by schema 8: strip the newer fields, add the
+           cube counters schema 8 still carried, and set the version, as an
+           old ledger line would read. *)
         let old_json =
           match Ledger.to_json latest with
           | Json.Obj fields ->
@@ -689,9 +732,8 @@ let telemetry_tests =
                 :: List.filter_map
                      (fun (k, v) ->
                        match (k, v) with
-                       | "schema", _ ->
-                           Some (k, Json.Int (Ledger.schema_version - 1))
-                       | ("cpu_s" | "dirty"), _ -> None
+                       | "schema", _ -> Some (k, Json.Int 8)
+                       | ("cpu_s" | "dirty" | "host"), _ -> None
                        | "opt", Json.Obj o ->
                            Some
                              ( k,
@@ -707,6 +749,9 @@ let telemetry_tests =
         check_bool "mismatch detected" true
           (Ledger.schema_mismatch ~baseline ~latest <> None);
         check_bool "old record reads back clean" false baseline.dirty;
+        check_bool "old record has no host, so no host warning" true
+          (baseline.host.nproc = 0
+          && Ledger.host_mismatch ~baseline ~latest = None);
         let d = Ledger.diff ~baseline ~latest () in
         check_bool "no schema-9 rows against a schema-8 baseline" true
           (not
