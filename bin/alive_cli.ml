@@ -650,7 +650,7 @@ let optimize_cmd =
     in
     (* Self-check: the compiled tree must pick the same rule with the same
        bindings as the per-rule scan at every probe site. *)
-    let divergences =
+    let match_divergences =
       if not selfcheck then 0
       else
         List.fold_left
@@ -678,6 +678,29 @@ let optimize_cmd =
               acc f.Ir.body)
           0 probe
     in
+    (* Self-check, second half: a non-saturated outcome is a fixpoint, so
+       the pass run again on it fires nothing; every firing counts as a
+       divergence. *)
+    let refirings =
+      if not selfcheck then 0
+      else
+        List.fold_left
+          (fun acc (f : Ir.func) ->
+            let o = Pass.run_guarded ~rules ~engine f in
+            if o.Pass.saturated then acc
+            else
+              let again = Pass.run_guarded ~rules ~engine o.Pass.func in
+              List.fold_left
+                (fun acc (rule, n) ->
+                  Printf.eprintf
+                    "optimize: selfcheck: %s fires %d time(s) on the \
+                     fixpoint of %s\n"
+                    rule n f.Ir.fname;
+                  acc + n)
+                acc again.Pass.stats)
+          0 probe
+    in
+    let divergences = match_divergences + refirings in
     Printf.printf
       "optimized %d functions in %.2fs (cpu %.2fs; generate %.2fs, pass \
        %.2fs) on %d jobs (%s engine): %d firings (%.0f/s), top-10 share \
@@ -692,9 +715,10 @@ let optimize_cmd =
       (match_per_s /. Float.max 1e-9 match_linear_per_s)
       sites compiled_hits linear_hits;
     if selfcheck then
-      Printf.printf "selfcheck: %d divergence(s) between compiled and \
-                     per-rule matcher\n"
-        divergences;
+      Printf.printf
+        "selfcheck: %d divergence(s) between compiled and per-rule matcher, \
+         %d firing(s) when re-run on a fixpoint\n"
+        match_divergences refirings;
     if show_stats then begin
       Printf.printf "rules fired:\n";
       List.iter (fun (n, c) -> Printf.printf "  %-45s x%d\n" n c) stats
@@ -776,7 +800,9 @@ let optimize_cmd =
       & info [ "selfcheck" ]
           ~doc:
             "Cross-check the compiled matcher against the per-rule scan \
-             on the probe sample; any divergence fails the run.")
+             on the probe sample, and re-run the pass on each of the \
+             sample's non-saturated outputs, which must fire nothing; any \
+             divergence or firing fails the run.")
   in
   let json_path =
     Arg.(

@@ -23,6 +23,10 @@ val max_depth : t -> int
 (** Deepest operand level any compiled pattern inspects (root = 0): the
     radius within which a rewrite can create new match opportunities. *)
 
+val residual_count : t -> int
+(** Rules the trie could not compile; they are candidates at every
+    definition, and their pattern depth is not in {!max_depth}. *)
+
 val node_count : t -> int
 val in_cycle : t -> string -> bool
 (** Whether the named rule belongs to a cyclic SCC of the target-feeds
@@ -33,8 +37,8 @@ val cyclic_count : t -> int
 (** {1 Matching} *)
 
 type ctx
-(** Per-function matching context: the function state plus a token
-    scratch buffer. It sees every later edit of the state. *)
+(** Per-function matching context: the function state plus token and
+    subtree-size scratch buffers. It sees every later edit of the state. *)
 
 val context_of_state : t -> State.t -> ctx
 val context : t -> Ir.func -> ctx

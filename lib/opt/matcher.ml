@@ -340,9 +340,11 @@ let src_def_insts stmts =
     (function Def (n, _, i) -> Some (n, i) | Store _ | Unreachable -> None)
     stmts
 
-let match_in rule st root_name =
+type attempt = No_shape | Pre_failed | Matched of match_result
+
+let try_match rule st root_name =
   match State.find st root_name with
-  | None -> None
+  | None -> No_shape
   | Some root_def ->
       let ms =
         {
@@ -371,10 +373,15 @@ let match_in rule st root_name =
           pre = Ptrue
           || Alive_trace.Trace.with_span "opt.pass.precondition" (fun () ->
                  Concrete.pred env pre)
-        then Some { bindings = env; root = root_name }
-        else None
+        then Matched { bindings = env; root = root_name }
+        else Pre_failed
       end
-      else None
+      else No_shape
+
+let match_in rule st root_name =
+  match try_match rule st root_name with
+  | Matched m -> Some m
+  | No_shape | Pre_failed -> None
 
 let match_at rule func root_name = match_in rule (State.of_func func) root_name
 

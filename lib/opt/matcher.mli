@@ -19,10 +19,23 @@ type match_result = {
   root : string;  (** the matched root definition's name *)
 }
 
-val match_in : rule -> State.t -> string -> match_result option
+type attempt =
+  | No_shape
+      (** the source template's shape does not match: opcodes,
+          attributes, constants, operand identity or widths *)
+  | Pre_failed  (** the shape matches but the precondition does not hold *)
+  | Matched of match_result
+
+val try_match : rule -> State.t -> string -> attempt
 (** Try to match the rule's source template rooted at the named definition,
     checking the precondition concretely. Definitions, widths, use counts
-    and domains come from the state. *)
+    and domains come from the state. The shape depends only on the
+    definitions within the template's operand depth of the root; the
+    precondition may also read use counts and domains, which depend on
+    the whole function. *)
+
+val match_in : rule -> State.t -> string -> match_result option
+(** {!try_match}, keeping only a match. *)
 
 val match_at : rule -> Ir.func -> string -> match_result option
 (** {!match_in} on a state built for the call. *)

@@ -69,10 +69,21 @@ let cycle_fire_cap = 8
    whose operand DAG changed are re-examined: the definitions the splice
    created or changed plus their users up to the compiled pattern depth,
    since a rewrite at %r can only create a match whose pattern reaches
-   %r. A final full sweep re-validates the fixpoint before returning
-   (also covering cost-guard interactions: a rewrite rejected as
+   %r. A final sweep re-validates the fixpoint before returning (also
+   covering cost-guard interactions: a rewrite rejected as
    cost-increasing can become acceptable after later shrinking), so the
-   result is exactly "no rule fires anywhere". *)
+   result is exactly "no rule fires anywhere".
+
+   The sweep skips settled definitions. A definition is settled when its
+   last examination found no candidate whose source shape matched and
+   none held back by the cycle cap. Its shape can only change through an
+   edit within the compiled pattern depth of it, and every such edit
+   re-queues it through [push_affected], which unsettles it; so a
+   settled definition cannot fire, and skipping it changes no firing.
+   Definitions refused by a precondition, the cost guard or a failed
+   instantiation depend on use counts and domains of the whole function
+   and are re-examined, as is everything when a rule escaped the trie
+   (a residual rule's depth is not in [max_depth]). *)
 let run_guarded ~rules ?(max_rewrites = 1000) ?(engine = `Compiled)
     (f : Ir.func) =
   let tree = compiled_for rules in
@@ -86,7 +97,10 @@ let run_guarded ~rules ?(max_rewrites = 1000) ?(engine = `Compiled)
   let ctx = Compiled.context_of_state tree st in
   let queue = Queue.create () in
   let queued : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+  let can_settle = Compiled.residual_count tree = 0 in
+  let settled : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   let push name =
+    Hashtbl.remove settled name;
     if not (Hashtbl.mem queued name) then begin
       Hashtbl.replace queued name ();
       Queue.add name queue
@@ -121,44 +135,60 @@ let run_guarded ~rules ?(max_rewrites = 1000) ?(engine = `Compiled)
      rewrite instantiates, the rewritten and DCE'd function does not cost
      more than the current one (a rule's target only beats its source when
      the matched interior dies, which shared subexpressions can prevent),
-     and the cycle guard has budget. *)
+     and the cycle guard has budget. [d] is left settled when no
+     candidate's shape matched and none was capped. *)
   let find_rewrite (d : Ir.def) =
     let cands =
       match engine with
       | `Compiled -> Compiled.candidates ctx d
       | `Linear -> rules
     in
-    List.find_map
-      (fun rule ->
-        let key = (d.Ir.name, rule.Matcher.rule_name) in
-        let fires = Option.value ~default:0 (Hashtbl.find_opt fired_at key) in
-        if
-          fires >= cycle_fire_cap
-          && Compiled.in_cycle tree rule.Matcher.rule_name
-        then begin
-          (* The guard is cutting a live rewrite cycle short exactly when
-             the capped rule still matches — report that the same way
-             budget exhaustion does. *)
-          if Option.is_some (Matcher.match_in rule st d.Ir.name) then
-            cycle_cut := true;
-          None
-        end
-        else
-          match Matcher.match_in rule st d.Ir.name with
-          | None -> None
-          | Some m -> (
-              match
-                Trace.with_span "opt.matcher.rewrite" (fun () ->
-                    Matcher.instantiate rule m)
-              with
-              | None -> None
-              | Some e ->
-                  if
-                    Trace.with_span "ir.cost" (fun () -> State.cost_delta st e)
-                    > 0
-                  then None
-                  else Some (rule, key, e)))
-      cands
+    let unsettled = ref false in
+    let found =
+      List.find_map
+        (fun rule ->
+          let key = (d.Ir.name, rule.Matcher.rule_name) in
+          let fires =
+            Option.value ~default:0 (Hashtbl.find_opt fired_at key)
+          in
+          if
+            fires >= cycle_fire_cap
+            && Compiled.in_cycle tree rule.Matcher.rule_name
+          then begin
+            (* The guard is cutting a live rewrite cycle short exactly when
+               the capped rule still matches — report that the same way
+               budget exhaustion does. *)
+            unsettled := true;
+            (match Matcher.try_match rule st d.Ir.name with
+            | Matcher.Matched _ -> cycle_cut := true
+            | Matcher.No_shape | Matcher.Pre_failed -> ());
+            None
+          end
+          else
+            match Matcher.try_match rule st d.Ir.name with
+            | Matcher.No_shape -> None
+            | Matcher.Pre_failed ->
+                unsettled := true;
+                None
+            | Matcher.Matched m -> (
+                unsettled := true;
+                match
+                  Trace.with_span "opt.matcher.rewrite" (fun () ->
+                      Matcher.instantiate rule m)
+                with
+                | None -> None
+                | Some e ->
+                    if
+                      Trace.with_span "ir.cost" (fun () ->
+                          State.cost_delta st e)
+                      > 0
+                    then None
+                    else Some (rule, key, e)))
+        cands
+    in
+    if can_settle && not !unsettled then Hashtbl.replace settled d.Ir.name ()
+    else Hashtbl.remove settled d.Ir.name;
+    found
   in
   (* Fire the first acceptable rule at [d]; [true] if the function
      changed. *)
@@ -185,6 +215,33 @@ let run_guarded ~rules ?(max_rewrites = 1000) ?(engine = `Compiled)
           push_affected changed;
           true
   in
+  (* Fixpoint verification sweep: fire at the first unsettled definition
+     that can still fire. With the budget spent, [try_fire] reports it
+     at the first definition, settled or not. *)
+  let sweep () =
+    let examined = ref 0 and skipped = ref 0 in
+    let sp = Trace.begin_span "opt.pass.sweep" in
+    Fun.protect
+      ~finally:(fun () ->
+        Trace.add_meta sp
+          [
+            ("examined", Trace.Int !examined);
+            ("skipped", Trace.Int !skipped);
+          ];
+        Trace.end_span sp)
+      (fun () ->
+        List.exists
+          (fun (d : Ir.def) ->
+            if !budget > 0 && Hashtbl.mem settled d.Ir.name then begin
+              incr skipped;
+              false
+            end
+            else begin
+              incr examined;
+              try_fire d
+            end)
+          (State.to_func st).Ir.body)
+  in
   let rec process () =
     match Queue.take_opt queue with
     | Some name ->
@@ -194,13 +251,9 @@ let run_guarded ~rules ?(max_rewrites = 1000) ?(engine = `Compiled)
         | Some d -> ignore (try_fire d));
         if not !budget_out then process ()
     | None ->
-        (* Fixpoint verification sweep: if anything can still fire, fire
-           it (seeding the worklist with its fallout) and keep going. *)
-        if
-          (not !budget_out)
-          && Trace.with_span "opt.pass.sweep" (fun () ->
-                 List.exists try_fire (State.to_func st).Ir.body)
-        then process ()
+        (* If anything can still fire, fire it (seeding the worklist with
+           its fallout) and keep going. *)
+        if (not !budget_out) && sweep () then process ()
   in
   List.iter (fun (d : Ir.def) -> push d.Ir.name) f.Ir.body;
   process ();

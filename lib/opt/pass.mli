@@ -36,8 +36,11 @@ val run_guarded :
     first, so the cost guard (a rewrite may not raise {!Cost.func_cost})
     compares live code only. After a rewrite only the changed definitions
     and their users within the compiled pattern depth are re-examined; a
-    final full sweep re-validates the fixpoint,
-    so a body-shrinking rewrite can never skip its successor. Rules in a
+    final sweep re-validates the fixpoint, so a body-shrinking rewrite can
+    never skip its successor. The sweep skips settled definitions: those
+    whose last examination found no candidate with a matching source
+    shape and none held back by the cycle cap, and that no edit within
+    the pattern depth has touched since; they cannot fire. Rules in a
     cyclic SCC of the rewrite graph are additionally capped per
     (definition, rule) site. *)
 

@@ -3,9 +3,11 @@
     ({!Cost.func_cost}) and each definition's {!Alive_absint.Domain}
     value. A rewrite updates it in place in O(touched): the splice
     reports exactly the definitions it created or changed, DCE follows use
-    counts from the definitions that lost uses, and domains are
-    recomputed forward from the changed definitions, stopping where a
-    domain is unchanged.
+    counts from the definitions that lost uses, and the domains already
+    computed are recomputed forward from the changed definitions,
+    stopping where a domain is unchanged. Domains are computed lazily,
+    per definition: only the values some query reached ever pay for a
+    transfer function.
 
     Bodies are assumed to be in definition order (SSA), as
     {!Ir.validate} requires. *)
@@ -13,8 +15,7 @@
 type t
 
 val of_func : Ir.func -> t
-(** O(body). Domains are computed on the first {!domain} query and kept
-    current from then on. *)
+(** O(body). No domain is computed yet. *)
 
 val to_func : t -> Ir.func
 (** The function the state currently denotes (O(body)). *)
@@ -34,7 +35,11 @@ val users : t -> string -> string list
 (** The definitions using the name, latest first, once per occurrence. *)
 
 val domain : t -> Ir.value -> Alive_absint.Domain.t
-(** As {!Alive_absint.Query.value_domain} on {!to_func}. *)
+(** As {!Alive_absint.Query.value_domain} on {!to_func}. The first query
+    of a definition computes its domain from its operands' domains
+    (computing those on demand, transitively) and marks it computed; a
+    computed domain is kept current by {!refresh}, so later queries are
+    O(1). *)
 
 val cost : t -> int
 
@@ -67,6 +72,9 @@ val collect : t -> unit
     since the last call. *)
 
 val refresh : t -> string list -> unit
-(** Recompute domains forward from the named definitions (no-op before
-    the first {!domain} query). Call after each edit with its live
-    changed definitions. *)
+(** Recompute the already computed domains forward from the named
+    definitions: each named definition that is computed, then the
+    computed users of every domain that changed, in body order, stopping
+    where a domain is unchanged. Definitions never queried are skipped;
+    their first {!domain} query computes them from current operands.
+    Call after each edit with its live changed definitions. *)

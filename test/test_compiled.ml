@@ -167,5 +167,14 @@ let equivalence_property =
                (List.init 12 Fun.id))
            funcs))
 
+let residual_test =
+  Alcotest.test_case "corpus rules leave no residual" `Quick (fun () ->
+      (* A residual rule is a candidate everywhere and its depth is not in
+         max_depth, which turns the pass's settled skip off; the corpus
+         must keep the skip (and its tests) live. *)
+      check_int "residual rules" 0
+        (Alive_opt.Compiled.residual_count (Lazy.force tree)))
+
 let suite =
-  ("compiled", structure_tests @ parity_tests @ [ equivalence_property ])
+  ( "compiled",
+    structure_tests @ parity_tests @ [ equivalence_property; residual_test ] )
